@@ -110,7 +110,7 @@ let attrib_sample ?(timing = Timing.default_params) (k : Kir.kernel) counts =
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 (* Top instruction counts folded into the launch span, so a trace subsumes
-   the standalone profiler view. Counts are bit-identical across worker
+   a standalone per-pc profile. Counts are bit-identical across worker
    counts (the per-worker profiles merge deterministically), so these args
    never break trace determinism. *)
 let hot_args (k : Kir.kernel) counts =

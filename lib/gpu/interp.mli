@@ -44,7 +44,7 @@ val run :
     bounds executed instructions to catch runaway loops; each CTA gets an
     even slice ([max_instructions / grid], rounded up) so detection fires
     under any CTA schedule. [profile], when given (length >= body length),
-    receives one increment per instruction execution (see {!Profiler}).
+    receives one increment per instruction execution.
     [jobs] (default 1) is the number of worker domains executing CTAs;
     it is clamped to [grid]. When a parallel run faults, the error of the
     lowest faulting CTA index is surfaced — the same error a sequential

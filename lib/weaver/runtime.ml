@@ -49,8 +49,8 @@ type mat = {
 
 (* The checkpoint ledger: verified segment outputs snapshotted host-side at
    publish time, so a recoverable fault can resume from the last verified
-   boundary instead of restarting the whole fused chain. Lives outside the
-   per-attempt state (like the saved_* counters) — entries survive failed
+   boundary instead of restarting the whole fused chain. Lives in the run
+   ledger, outside the per-attempt state — entries survive failed
    attempts; that is the whole point. Bounded by a fraction of device
    memory (the admission footprint currency), oldest evicted first. *)
 type ckpt = {
@@ -67,25 +67,40 @@ type ckpt = {
           replay-savings accounting credits *)
 }
 
-type st = {
+(* The run ledger: what one [run_result] owns across all its attempts. A
+   restart (rollback, demotion) builds a fresh [st] pointing at the same
+   ledger, so everything a failed attempt charged — cycles, counters,
+   tokens, checkpoints — is already in place for the next one. *)
+type ledger = {
   program : program;
-  mem : Memory.t;
   pcie : Pcie.t;
   faults : Fault_inject.t;
   cancel : Cancel.t;
   trace : Weaver_obs.Trace.t;
-  mode : mode;
+  ckpt : ckpt;
   mutable reports : Executor.launch_report list;  (** reversed *)
   mutable kernel_cycles : float;  (** running sum over [reports] *)
   mutable retries : int;
   mutable fissions : int;
-  mutable budget_spent : int;  (** recovery tokens consumed (see below) *)
+  mutable budget_spent : int;  (** recovery tokens consumed (see [gate]) *)
   mutable corruptions : int;
       (** certificate mismatches detected (swept per attempt) *)
   mutable counterfactuals : Weaver_obs.Attrib.counterfactual list;
       (** reversed; per executed fused group, keyed by group name with
           replace-on-same-name so restart replays never double-count *)
-  ckpt : ckpt;
+  mutable replayed : float;
+      (** cycles failed attempts burned that their restarts re-spend *)
+  mutable saved_replay : float;
+      (** cycles failed attempts burned before their newest checkpoint,
+          which a rollback does not re-spend *)
+  mutable mem : Memory.t option;  (** the latest attempt's device memory *)
+}
+
+(* per-attempt state *)
+type st = {
+  run : ledger;
+  mem : Memory.t;
+  mode : mode;
   restored : (int, unit) Hashtbl.t;
       (** op ids restored from the ledger this attempt; units whose every
           output is here are skipped (and must not count as consumers) *)
@@ -96,81 +111,109 @@ type st = {
           group (runtime re-selection), applied at publish time *)
 }
 
-let config st = st.program.config
+let config st = st.run.program.config
 let device st = (config st).Config.device
+let spent_cycles r = r.kernel_cycles +. Pcie.total_cycles r.pcie
 
-(* The per-query budget checkpoint: polls the cancellation token (client
-   aborts, wall-clock watchdog) and compares simulated cycles spent so far
-   against the deadline. Called after every launch, synthetic report and
-   PCIe transfer — the same places simulated time advances — so the check
-   is deterministic for cycle deadlines: it depends only on the cost
-   model, never on the host clock. Strictly greater-than, so a budget of
-   exactly the run's cost completes; a non-positive budget fires at the
-   first checkpoint. *)
-let check_budget st =
-  Cancel.check st.cancel;
-  match (config st).Config.deadline_cycles with
+(* The missed-deadline check: simulated cycles spent so far against the
+   cycle deadline. Strictly greater-than, so a budget of exactly the run's
+   cost completes; a non-positive budget fires at the first check. *)
+let check_deadline r =
+  match r.program.config.Config.deadline_cycles with
   | None -> ()
   | Some limit ->
-      let spent = st.kernel_cycles +. Pcie.total_cycles st.pcie in
+      let spent = spent_cycles r in
       if spent > limit || limit <= 0.0 then
         Fault.raise_
           (Fault.Deadline_exceeded
              { kind = Fault.Deadline_cycles; limit; spent })
 
-let spent_cycles st = st.kernel_cycles +. Pcie.total_cycles st.pcie
+(* The per-query budget checkpoint: polls the cancellation token (client
+   aborts, wall-clock watchdog), then checks the cycle deadline. Called
+   after every launch, synthetic report and PCIe transfer — the same
+   places simulated time advances — so the check is deterministic for
+   cycle deadlines: it depends only on the cost model, never on the host
+   clock. *)
+let check_budget r =
+  Cancel.check r.cancel;
+  check_deadline r
 
-(* The recovery checkpoint, consulted before every recovery action (an
-   alloc/transfer/capacity retry, a fission split, a demotion restart).
-   Three gates, in order:
+(* The recovery gate, passed before every recovery action: an alloc,
+   transfer or capacity retry, a fission split, a rollback or a demotion.
+   Raises the fault that vetoes the action; otherwise spends one token.
+   The checks, in order:
    1. First-cancel-wins: a cancellation that has already landed on the
       token beats both the fault being recovered and any budget decision —
-      recovery must never race past a client abort or watchdog.
-   2. Token budget ([Config.retry_budget]): each action spends one token;
+      recovery must never race past a client abort or watchdog. Only the
+      set cell is read, never the watchdogs.
+   2. Deadline already spent: a fault that charged cycles before failing
+      (a PCIe transfer) can leave the run past its cycle deadline. That is
+      a missed deadline, [Deadline_exceeded] as at any checkpoint — not a
+      veto of the recovery that would have followed it.
+   3. Token budget ([Config.retry_budget]): each action spends one token;
       an empty purse vetoes the action with a typed fault.
-   3. Deadline-cost veto: with both a budget and a cycle deadline set, an
-      action whose estimate (the cycles the failed attempt just consumed —
-      the best deterministic predictor of the next attempt) exceeds the
+   4. Deadline-cost veto: with both a budget and a cycle deadline set, an
+      action whose [estimate] (what the failed attempt just burned — the
+      best deterministic predictor of the next attempt) exceeds the
       remaining cycle budget is vetoed: fail fast instead of starting work
       that is doomed to miss.
-   All three depend only on the cost model and the schedule, never on the
+   All of it depends only on the cost model and the schedule, never on the
    host clock, so vetoes are bit-deterministic. *)
-let spend_recovery_token st ~action ~estimate =
-  (match Cancel.cancelled st.cancel with
+let gate r ~action ~estimate =
+  (match Cancel.cancelled r.cancel with
   | Some f -> Fault.raise_ f
   | None -> ());
-  match (config st).Config.retry_budget with
+  check_deadline r;
+  match r.program.config.Config.retry_budget with
   | None -> ()
   | Some budget ->
       let veto reason =
-        Weaver_obs.Trace.instant st.trace ~lane:Weaver_obs.Trace.Host
+        Weaver_obs.Trace.instant r.trace ~lane:Weaver_obs.Trace.Host
           "budget_veto"
           ~args:[ ("action", Weaver_obs.Trace.Str action) ];
         Fault.raise_ (Fault.Budget_vetoed { action; reason })
       in
-      if st.budget_spent >= budget then
-        veto (Fault.Tokens_exhausted { budget; spent = st.budget_spent });
-      (match (config st).Config.deadline_cycles with
+      if r.budget_spent >= budget then
+        veto (Fault.Tokens_exhausted { budget; spent = r.budget_spent });
+      (match r.program.config.Config.deadline_cycles with
       | Some limit ->
-          let remaining = limit -. spent_cycles st in
+          (* non-negative: check 2 passed *)
+          let remaining = limit -. spent_cycles r in
           if estimate > remaining then
-            veto
-              (Fault.Deadline_too_close
-                 { estimated = estimate; remaining = Float.max remaining 0.0 })
+            veto (Fault.Deadline_too_close { estimated = estimate; remaining })
       | None -> ());
-      st.budget_spent <- st.budget_spent + 1
+      r.budget_spent <- r.budget_spent + 1
+
+(* The run's metrics so far, against one attempt's device memory: the
+   success path reports the finishing attempt, the failure path the last
+   one (leaks are whatever that attempt's cleanup left live). *)
+let metrics_of r mem ~demotions ~rollbacks =
+  let ck = r.ckpt in
+  Metrics.collect ~reports:(List.rev r.reports) ~pcie:r.pcie
+    ~peak_global_bytes:(Memory.peak_bytes mem) ~retries:r.retries
+    ~fissions:r.fissions ~demotions
+    ~faults_injected:(Fault_inject.injected r.faults)
+    ~leaks:
+      (List.map
+         (fun (b, l) -> (l, Memory.bytes mem b))
+         (Memory.live_buffers mem))
+    ~corruptions:r.corruptions ~rollbacks ~checkpoints:ck.ck_taken
+    ~checkpoint_hits:ck.ck_hits ~checkpoints_evicted:ck.ck_evicted
+    ~replayed_cycles:r.replayed ~saved_replay_cycles:r.saved_replay
+    ~counterfactuals:(List.rev r.counterfactuals) ()
 
 let launch st kernel ~params ~grid ~cta =
   let r =
     Executor.launch ~timing:(config st).Config.timing
-      ~jobs:(config st).Config.jobs ~faults:st.faults ~cancel:st.cancel
-      ~trace:st.trace
+      ~jobs:(config st).Config.jobs ~faults:st.run.faults ~cancel:st.run.cancel
+      ~trace:st.run.trace
       ~attrib:(config st).Config.attrib
       (device st) st.mem kernel ~params ~grid ~cta
   in
-  st.reports <- r :: st.reports;
-  st.kernel_cycles <- st.kernel_cycles +. r.Executor.time.Timing.total_cycles;
-  check_budget st;
+  st.run.reports <- r :: st.run.reports;
+  st.run.kernel_cycles <-
+    st.run.kernel_cycles +. r.Executor.time.Timing.total_cycles;
+  check_budget st.run;
   r
 
 (* Policy: injected allocation and PCIe faults are transient — retry a
@@ -183,28 +226,29 @@ let alloc_buf st ~label ~words ~bytes =
     | Fault.Error (Fault.Alloc_failure { injected = true; _ })
       when tries < (config st).Config.alloc_retries
     ->
-      spend_recovery_token st ~action:"allocation retry" ~estimate:0.0;
-      st.retries <- st.retries + 1;
-      Weaver_obs.Trace.instant st.trace ~lane:Weaver_obs.Trace.Host "alloc_retry";
+      gate st.run ~action:"allocation retry" ~estimate:0.0;
+      st.run.retries <- st.run.retries + 1;
+      Weaver_obs.Trace.instant st.run.trace ~lane:Weaver_obs.Trace.Host
+        "alloc_retry";
       go (tries + 1)
   in
   go 0
 
 let transfer st dir ~bytes =
   let rec go tries =
-    try ignore (Pcie.transfer st.pcie dir ~bytes)
+    try ignore (Pcie.transfer st.run.pcie dir ~bytes)
     with
     | Fault.Error (Fault.Transfer_failure { injected = true; _ })
       when tries < (config st).Config.transfer_retries
     ->
-      spend_recovery_token st ~action:"transfer retry" ~estimate:0.0;
-      st.retries <- st.retries + 1;
-      Weaver_obs.Trace.instant st.trace ~lane:Weaver_obs.Trace.Host
+      gate st.run ~action:"transfer retry" ~estimate:0.0;
+      st.run.retries <- st.run.retries + 1;
+      Weaver_obs.Trace.instant st.run.trace ~lane:Weaver_obs.Trace.Host
         "transfer_retry";
       go (tries + 1)
   in
   go 0;
-  check_budget st
+  check_budget st.run
 
 let synth_report ?ops st name stats =
   let time =
@@ -258,20 +302,21 @@ let synth_report ?ops st name stats =
       attrib;
     }
   in
-  st.reports <- r :: st.reports;
-  st.kernel_cycles <- st.kernel_cycles +. time.Timing.total_cycles;
+  st.run.reports <- r :: st.run.reports;
+  st.run.kernel_cycles <- st.run.kernel_cycles +. time.Timing.total_cycles;
   (* modelled work (host-side sorts, fallbacks) gets a Kernel-lane span
      too; the runtime owns its clock advance since no executor ran *)
   let module T = Weaver_obs.Trace in
-  (if T.active st.trace then begin
+  (if T.active st.run.trace then begin
      let sp =
-       T.span st.trace ~lane:T.Kernel name
-         ~args:(if T.recording st.trace then [ ("modelled", T.Int 1) ] else [])
+       T.span st.run.trace ~lane:T.Kernel name
+         ~args:
+           (if T.recording st.run.trace then [ ("modelled", T.Int 1) ] else [])
      in
-     T.advance st.trace time.Timing.total_cycles;
-     T.close st.trace sp
+     T.advance st.run.trace time.Timing.total_cycles;
+     T.close st.run.trace sp
    end);
-  check_budget st
+  check_budget st.run
 
 let mat_of_source st = function
   | Plan.Base i -> st.base_mats.(i)
@@ -406,7 +451,7 @@ let ckpt_overhead_bound = 0.04
    deferred (a later, larger prefix will absorb it); otherwise the oldest
    entries are evicted until the ledger fits. *)
 let snapshot st op_id (m : mat) =
-  let ck = st.ckpt in
+  let ck = st.run.ckpt in
   if ck.ck_on then begin
     let bytes = max 0 (m.rows * Schema.tuple_bytes m.schema) in
     let affordable =
@@ -420,7 +465,7 @@ let snapshot st op_id (m : mat) =
             *. d.Device.clock_ghz *. 1e9
           in
           d2h_cycles
-          <= ckpt_overhead_bound *. (spent_cycles st -. ck.ck_last_spent)
+          <= ckpt_overhead_bound *. (spent_cycles st.run -. ck.ck_last_spent)
     in
     if bytes <= ck.ck_budget && affordable then begin
       let rel = download st m in
@@ -432,8 +477,9 @@ let snapshot st op_id (m : mat) =
       ck.ck_entries <- ck.ck_entries @ [ (op_id, rel, bytes) ];
       ck.ck_bytes <- ck.ck_bytes + bytes;
       ck.ck_taken <- ck.ck_taken + 1;
-      ck.ck_last_spent <- spent_cycles st;
-      Weaver_obs.Trace.instant st.trace ~lane:Weaver_obs.Trace.Host "checkpoint"
+      ck.ck_last_spent <- spent_cycles st.run;
+      Weaver_obs.Trace.instant st.run.trace ~lane:Weaver_obs.Trace.Host
+        "checkpoint"
         ~args:
           [
             ("op", Weaver_obs.Trace.Int op_id);
@@ -445,7 +491,7 @@ let snapshot st op_id (m : mat) =
             ck.ck_entries <- rest;
             ck.ck_bytes <- ck.ck_bytes - b;
             ck.ck_evicted <- ck.ck_evicted + 1;
-            Weaver_obs.Trace.instant st.trace ~lane:Weaver_obs.Trace.Host
+            Weaver_obs.Trace.instant st.run.trace ~lane:Weaver_obs.Trace.Host
               "checkpoint_evict"
         | [] -> ck.ck_bytes <- 0
       done
@@ -480,36 +526,47 @@ let unit_skipped st u =
   | [] -> false
   | outs -> List.for_all (Hashtbl.mem st.restored) outs
 
+let unit_sources = function
+  | U_fused { ir; _ } ->
+      Array.to_list
+        (Array.map (fun (i : Fusion.input_info) -> i.source) ir.inputs)
+  | U_sort { source; _ } | U_unique { source; _ } | U_aggregate { source; _ } ->
+      [ source ]
+
+(* how many units that run this attempt read [src] *)
+let readers st src =
+  List.fold_left
+    (fun acc u ->
+      if
+        (not (unit_skipped st u))
+        && List.exists (Plan.equal_source src) (unit_sources u)
+      then acc + 1
+      else acc)
+    0 st.run.program.units
+
 (* how many units read a node's output (sinks get a sentinel so their
    buffers survive until the end of the run) *)
 let consumer_units_of st op_id =
-  let uses_source srcs =
-    List.exists (Plan.equal_source (Plan.Node op_id)) srcs
-  in
-  let count =
-    List.fold_left
-      (fun acc u ->
-        if unit_skipped st u then acc
-        else
-          let srcs =
-            match u with
-            | U_fused { ir; _ } ->
-                Array.to_list
-                  (Array.map (fun (i : Fusion.input_info) -> i.source) ir.inputs)
-            | U_sort { source; _ } | U_unique { source; _ }
-            | U_aggregate { source; _ } ->
-                [ source ]
-          in
-          if uses_source srcs then acc + 1 else acc)
-      0 st.program.units
-  in
-  if List.exists (Int.equal op_id) (Plan.sinks st.program.plan) then count + 1
+  let count = readers st (Plan.Node op_id) in
+  if List.exists (Int.equal op_id) (Plan.sinks st.run.program.plan) then
+    count + 1
   else count
+
+(* adopt a freshly produced device buffer as [op_id]'s materialization *)
+let publish_buf st op_id ~schema ~rows buf =
+  publish st op_id
+    {
+      schema;
+      rows;
+      buf = Some buf;
+      host = None;
+      remaining = consumer_units_of st op_id;
+    }
 
 (* --- fused groups --------------------------------------------------------- *)
 
 let optimize_kernels st (ks : Codegen.kernels) =
-  let o = Optimizer.optimize st.program.opt in
+  let o = Optimizer.optimize st.run.program.opt in
   {
     Codegen.partition = o ks.Codegen.partition;
     compute = o ks.Codegen.compute;
@@ -564,7 +621,7 @@ let analyze_kernel ?(regions = []) ?trace (k : Kir.kernel) =
 
 let gate_kernel st ?regions k =
   if (config st).Config.analyze then begin
-    let report = analyze_kernel ?regions ~trace:st.trace k in
+    let report = analyze_kernel ?regions ~trace:st.run.trace k in
     match Weaver_analysis.Analysis.gating report with
     | [] -> ()
     | d :: _ as ds ->
@@ -621,15 +678,62 @@ exception Needs_split of Config.t
 exception Fallback_needed
 (* a lone operator whose key runs cannot fit shared memory at all *)
 
+(* The capacity-retry loop of the device units. [attempt x ~temp ~result]
+   runs one attempt: [temp] registers a scratch buffer, freed on every
+   exit; [result] registers an output buffer, freed after the scratch
+   unless the attempt succeeds. A capacity trap passes the recovery gate
+   — its estimate is what the trapped attempt burned — and restarts with
+   [next x trap ~tries], the caller's capacity policy, which raises to
+   stop retrying. Anything else propagates. [which] tags the trace
+   instant with the trapped capacity. *)
+let capacity_retries st ?(which = false) ~next attempt x0 =
+  let rec go x tries =
+    let t0 = spent_cycles st.run in
+    let temps = ref [] and results = ref [] in
+    let register l b =
+      l := b :: !l;
+      b
+    in
+    let free_all () =
+      List.iter (Memory.free st.mem) !temps;
+      List.iter (Memory.free st.mem) !results
+    in
+    match attempt x ~temp:(register temps) ~result:(register results) with
+    | r ->
+        List.iter (Memory.free st.mem) !temps;
+        r
+    | exception
+        Interp.Runtime_error (Fault.Capacity_trap { which = w; _ } as trap) ->
+        free_all ();
+        let x = next x trap ~tries in
+        gate st.run ~action:"capacity retry"
+          ~estimate:(spent_cycles st.run -. t0);
+        st.run.retries <- st.run.retries + 1;
+        Weaver_obs.Trace.instant st.run.trace ~lane:Weaver_obs.Trace.Host
+          "capacity_retry"
+          ~args:
+            (if which then
+               [ ("which", Weaver_obs.Trace.Str (Fault.show_capacity w)) ]
+             else []);
+        go x (tries + 1)
+    | exception e ->
+        (* a deadline, a cancellation, an injected fault that escaped its
+           own retries: the attempt aborts, but leaks nothing *)
+        free_all ();
+        raise e
+  in
+  go x0 0
+
 (* Degenerate-data fallback: when one operator cannot execute on the
    device at all (a key run larger than shared memory defeats the CTA
    skeleton; an aggregation with more groups than a CTA table can hold),
    it executes host-side and is charged one full streaming pass, like the
    modelled SORT — a real system would switch algorithms there. *)
 let exec_fallback_node st ~name ~op_id ~consumed_sources =
-  Weaver_obs.Trace.instant st.trace ~lane:Weaver_obs.Trace.Host "host_fallback"
+  Weaver_obs.Trace.instant st.run.trace ~lane:Weaver_obs.Trace.Host
+    "host_fallback"
     ~args:[ ("unit", Weaver_obs.Trace.Str name) ];
-  let plan = st.program.plan in
+  let plan = st.run.program.plan in
   let node = Plan.node plan op_id in
   let rels =
     List.map
@@ -662,14 +766,8 @@ let exec_fallback_node st ~name ~op_id ~consumed_sources =
   in
   Array.blit (Relation.data out) 0 (Memory.data st.mem buf) 0
     (Array.length (Relation.data out));
-  publish st op_id
-    {
-      schema = Relation.schema out;
-      rows = Relation.count out;
-      buf = Some buf;
-      host = None;
-      remaining = consumer_units_of st op_id;
-    };
+  publish_buf st op_id ~schema:(Relation.schema out) ~rows:(Relation.count out)
+    buf;
   consume st consumed_sources
 
 (* Fig. 18 accounting: what materializing this group's internal edges
@@ -743,15 +841,15 @@ let counterfactual_of ~plan ~name ~in_rows (ir : Fusion.t) =
    a group under the same name; its counterfactual must not double-count *)
 let record_counterfactual st (cf : Weaver_obs.Attrib.counterfactual) =
   if (config st).Config.attrib then begin
-    st.counterfactuals <-
+    st.run.counterfactuals <-
       cf
       :: List.filter
            (fun (c : Weaver_obs.Attrib.counterfactual) ->
              c.cf_group <> cf.cf_group)
-           st.counterfactuals;
+           st.run.counterfactuals;
     let module T = Weaver_obs.Trace in
-    if T.recording st.trace then
-      T.instant st.trace ~lane:T.Attrib ("counterfactual:" ^ cf.cf_group)
+    if T.recording st.run.trace then
+      T.instant st.run.trace ~lane:T.Attrib ("counterfactual:" ^ cf.cf_group)
         ~args:
           [
             ("edges", T.Int cf.cf_edges);
@@ -761,21 +859,20 @@ let record_counterfactual st (cf : Weaver_obs.Attrib.counterfactual) =
           ]
   end
 
-let exec_fallback st ~name (ir : Fusion.t) =
-  exec_fallback_node st ~name ~op_id:(List.hd ir.op_ids)
-    ~consumed_sources:
-      (Array.to_list
-         (Array.map (fun (i : Fusion.input_info) -> i.source) ir.inputs))
-
 let rec exec_fused st ~name (ir : Fusion.t) =
-  Weaver_obs.Trace.with_span st.trace ~lane:Weaver_obs.Trace.Host
+  Weaver_obs.Trace.with_span st.run.trace ~lane:Weaver_obs.Trace.Host
     ("weave:" ^ name)
   @@ fun () ->
-  let plan = st.program.plan in
+  let plan = st.run.program.plan in
   let n_in = Array.length ir.inputs in
   let n_out = Array.length ir.outputs in
+  let sources = unit_sources (U_fused { name; ir }) in
   (* per-segment join-expansion overrides accumulated across retries *)
   let seg_exp : (int, int) Hashtbl.t = Hashtbl.create 4 in
+  let seg_expansion cfg si =
+    Option.value (Hashtbl.find_opt seg_exp si)
+      ~default:cfg.Config.join_expansion
+  in
   let in_mats = Array.map (fun (i : Fusion.input_info) -> mat_of_source st i.source) ir.inputs in
   (* upload + sorted-invariant checks *)
   Array.iteri
@@ -786,27 +883,27 @@ let rec exec_fused st ~name (ir : Fusion.t) =
     ir.inputs;
   (* cycles at unit entry: the fission estimate is everything this unit
      burned across its failed attempts *)
-  let unit_t0 = spent_cycles st in
-  let rec attempt ?fixed_cap cfg tries =
-    let attempt_t0 = spent_cycles st in
-    let infeasible () =
-      if List.length ir.op_ids >= 2 then raise (Needs_split cfg)
-      else raise Fallback_needed
-    in
-    let seg_expansion si =
-      Option.value (Hashtbl.find_opt seg_exp si)
-        ~default:cfg.Config.join_expansion
-    in
+  let unit_t0 = spent_cycles st.run in
+  let infeasible cfg =
+    if List.length ir.op_ids >= 2 then raise (Needs_split cfg)
+    else raise Fallback_needed
+  in
+  (* the slice capacity the latest attempt's layout chose; a retry pins or
+     halves it *)
+  let cap = ref 0 in
+  let attempt (fixed_cap, cfg) ~temp ~result =
     let lay =
       (* a pinned capacity that no longer fits falls back to the search *)
+      let seg_expansion = seg_expansion cfg in
       match Layout.compute ?fixed_cap ~seg_expansion cfg plan ir with
       | lay -> lay
       | exception Fusion.Infeasible _ when fixed_cap <> None -> (
           match Layout.compute ~seg_expansion cfg plan ir with
           | lay -> lay
-          | exception Fusion.Infeasible _ -> infeasible ())
-      | exception Fusion.Infeasible _ -> infeasible ()
+          | exception Fusion.Infeasible _ -> infeasible cfg)
+      | exception Fusion.Infeasible _ -> infeasible cfg
     in
+    cap := lay.Layout.cap;
     (* the pivot must be the largest keyed input so slice boundaries cut
        the big side into even cap-sized pieces *)
     let pivot =
@@ -843,153 +940,105 @@ let rec exec_fused st ~name (ir : Fusion.t) =
       | None -> even_max
     in
     let grid = clamp_grid st ~rows:driving_rows ~cap:lay.Layout.cap in
-    let temps = ref [] in
-    let temp b = temps := b :: !temps; b in
-    (* on the trap path, already-gathered outputs are scratch too *)
-    let produced = ref [] in
-    let free_temps () =
-      List.iter (Memory.free st.mem) !temps;
-      temps := [];
-      List.iter (Memory.free st.mem) !produced;
-      produced := []
+    let bounds =
+      Array.init n_in (fun i ->
+          temp
+            (alloc_buf st ~label:(Printf.sprintf "%s_bounds%d" name i)
+               ~words:(grid + 1) ~bytes:(4 * (grid + 1))))
     in
-    try
-      let bounds =
-        Array.init n_in (fun i ->
-            temp
-              (alloc_buf st ~label:(Printf.sprintf "%s_bounds%d" name i)
-                 ~words:(grid + 1) ~bytes:(4 * (grid + 1))))
-      in
-      let stagings =
-        Array.init n_out (fun o ->
-            let schema = snd ir.outputs.(o) in
-            let rows = grid * lay.Layout.out_caps.(o) in
-            temp
-              (alloc_buf st ~label:(Printf.sprintf "%s_staging%d" name o)
-                 ~words:(max 1 (rows * Schema.arity schema))
-                 ~bytes:(rows * Schema.tuple_bytes schema)))
-      in
-      let counts =
-        Array.init n_out (fun o ->
-            temp
-              (alloc_buf st ~label:(Printf.sprintf "%s_counts%d" name o)
-                 ~words:grid ~bytes:(4 * grid)))
-      in
-      let part_params =
-        Array.concat
-          [
-            Array.concat
-              (Array.to_list
-                 (Array.map (fun (m : mat) -> [| Option.get m.buf; m.rows |]) in_mats));
-            bounds;
-          ]
-      in
-      ignore (launch st kernels.Codegen.partition ~params:part_params ~grid ~cta:32);
-      let comp_params =
-        Array.concat
-          [
-            Array.map (fun (m : mat) -> Option.get m.buf) in_mats;
-            bounds;
-            stagings;
-            counts;
-          ]
-      in
-      ignore
-        (launch st kernels.Codegen.compute ~params:comp_params ~grid
-           ~cta:(config st).Config.cta_threads);
-      (* per-output gather *)
-      let outs =
-        Array.init n_out (fun o ->
-            let op_id, schema = ir.outputs.(o) in
-            let buf, rows =
-              scan_and_gather st
-                ~name:(Printf.sprintf "%s_out%d" name o)
-                ~scan_k:kernels.Codegen.scans.(o)
-                ~gather_k:kernels.Codegen.gathers.(o)
-                ~staging:stagings.(o) ~counts:counts.(o) ~grid ~schema
-            in
-            produced := buf :: !produced;
-            (op_id, schema, buf, rows))
-      in
-      (* post-launch input verification: injection hooks fire before the
-         interpreter reads, so inputs that verify clean here were clean for
-         every kernel of this unit — a corrupted input means the attempt's
-         outputs cannot be trusted and must not be published *)
-      Array.iter
-        (fun (mm : mat) -> check_mat st mm ~site:(name ^ "_inputs"))
-        in_mats;
-      produced := [];
-      free_temps ();
-      outs
-    with
-    (* anything that is not a capacity retry (deadline, cancellation, an
-       injected fault that escaped its own retries) aborts the attempt;
-       scratch must still be released so the failure path leaks nothing *)
-    | e
-      when not
-             (match e with
-             | Interp.Runtime_error (Fault.Capacity_trap _) -> true
-             | _ -> false) ->
-        free_temps ();
-        raise e
-    | Interp.Runtime_error (Fault.Capacity_trap cap_fault) ->
-      free_temps ();
-      if tries >= (config st).Config.max_retries then
-        if List.length ir.op_ids >= 2 then raise (Needs_split cfg)
-        else raise Fallback_needed;
-      spend_recovery_token st ~action:"capacity retry"
-        ~estimate:(spent_cycles st -. attempt_t0);
-      st.retries <- st.retries + 1;
-      Weaver_obs.Trace.instant st.trace ~lane:Weaver_obs.Trace.Host
-        "capacity_retry"
-        ~args:
-          [ ("which", Weaver_obs.Trace.Str (Fault.show_capacity cap_fault.which)) ];
-      (* scale the capacity the trap names *)
-      match cap_fault.which with
-      | Fault.Cap_groups ->
-          attempt ~fixed_cap:lay.Layout.cap
-            { cfg with Config.max_groups = cfg.Config.max_groups * 2 }
-            (tries + 1)
-      | Fault.Cap_input_tile ->
-          (* a key range outgrew its tile: the binding constraint is the
-             longest key run, which is independent of the slice size — so
-             grow the slack factor faster than the capacity shrinks, keeping
-             total shared memory roughly flat while the absolute tile
-             capacity doubles each retry *)
-          attempt
-            ~fixed_cap:(max 8 (lay.Layout.cap / 2))
-            {
-              cfg with
-              Config.aux_factor = cfg.Config.aux_factor * 4;
-              broadcast_cap = cfg.Config.broadcast_cap * 2;
-            }
-            (tries + 1)
-      | Fault.Cap_staging -> (
-          (* join/staging overflow: fan-out exceeded the expansion budget;
-             grow only the overflowing segment when the trap names one *)
-          match cap_fault.segment with
-          | Some si ->
-              let cur =
-                Option.value (Hashtbl.find_opt seg_exp si)
-                  ~default:cfg.Config.join_expansion
-              in
-              Hashtbl.replace seg_exp si (cur * 2);
-              attempt ~fixed_cap:lay.Layout.cap cfg (tries + 1)
-          | None ->
-              attempt ~fixed_cap:lay.Layout.cap
-                {
-                  cfg with
-                  Config.join_expansion = cfg.Config.join_expansion * 2;
-                }
-                (tries + 1))
+    let stagings =
+      Array.init n_out (fun o ->
+          let schema = snd ir.outputs.(o) in
+          let rows = grid * lay.Layout.out_caps.(o) in
+          temp
+            (alloc_buf st ~label:(Printf.sprintf "%s_staging%d" name o)
+               ~words:(max 1 (rows * Schema.arity schema))
+               ~bytes:(rows * Schema.tuple_bytes schema)))
+    in
+    let counts =
+      Array.init n_out (fun o ->
+          temp
+            (alloc_buf st ~label:(Printf.sprintf "%s_counts%d" name o)
+               ~words:grid ~bytes:(4 * grid)))
+    in
+    let part_params =
+      Array.concat
+        [
+          Array.concat
+            (Array.to_list
+               (Array.map (fun (m : mat) -> [| Option.get m.buf; m.rows |]) in_mats));
+          bounds;
+        ]
+    in
+    ignore (launch st kernels.Codegen.partition ~params:part_params ~grid ~cta:32);
+    let comp_params =
+      Array.concat
+        [
+          Array.map (fun (m : mat) -> Option.get m.buf) in_mats;
+          bounds;
+          stagings;
+          counts;
+        ]
+    in
+    ignore
+      (launch st kernels.Codegen.compute ~params:comp_params ~grid
+         ~cta:(config st).Config.cta_threads);
+    (* per-output gather *)
+    let outs =
+      Array.init n_out (fun o ->
+          let op_id, schema = ir.outputs.(o) in
+          let buf, rows =
+            scan_and_gather st
+              ~name:(Printf.sprintf "%s_out%d" name o)
+              ~scan_k:kernels.Codegen.scans.(o)
+              ~gather_k:kernels.Codegen.gathers.(o)
+              ~staging:stagings.(o) ~counts:counts.(o) ~grid ~schema
+          in
+          (op_id, schema, result buf, rows))
+    in
+    (* post-launch input verification: injection hooks fire before the
+       interpreter reads, so inputs that verify clean here were clean for
+       every kernel of this unit — a corrupted input means the attempt's
+       outputs cannot be trusted and must not be published *)
+    Array.iter
+      (fun (mm : mat) -> check_mat st mm ~site:(name ^ "_inputs"))
+      in_mats;
+    outs
   in
-  match attempt (config st) 0 with
+  (* scale the capacity the trap names *)
+  let next (_, cfg) trap ~tries =
+    if tries >= (config st).Config.max_retries then infeasible cfg;
+    match trap with
+    | Fault.Capacity_trap { which = Fault.Cap_groups; _ } ->
+        (Some !cap, { cfg with Config.max_groups = cfg.Config.max_groups * 2 })
+    | Fault.Capacity_trap { which = Fault.Cap_input_tile; _ } ->
+        (* a key range outgrew its tile: the binding constraint is the
+           longest key run, which is independent of the slice size — so
+           grow the slack factor faster than the capacity shrinks, keeping
+           total shared memory roughly flat while the absolute tile
+           capacity doubles each retry *)
+        ( Some (max 8 (!cap / 2)),
+          {
+            cfg with
+            Config.aux_factor = cfg.Config.aux_factor * 4;
+            broadcast_cap = cfg.Config.broadcast_cap * 2;
+          } )
+    | Fault.Capacity_trap { segment = Some si; _ } ->
+        (* join/staging overflow: fan-out exceeded the expansion budget;
+           grow only the overflowing segment when the trap names one *)
+        Hashtbl.replace seg_exp si (seg_expansion cfg si * 2);
+        (Some !cap, cfg)
+    | _ ->
+        ( Some !cap,
+          { cfg with Config.join_expansion = cfg.Config.join_expansion * 2 } )
+  in
+  match capacity_retries st ~which:true ~next attempt (None, config st) with
   | outs -> (
       (* the group's kernels ran: its fusion counterfactual is evidence
          now, whatever publishing does *)
       if (config st).Config.attrib then
         record_counterfactual st
-          (counterfactual_of ~plan:st.program.plan ~name
+          (counterfactual_of ~plan ~name
              ~in_rows:(Array.map (fun (m : mat) -> m.rows) in_mats)
              ir);
       (* publish outputs, then release inputs. If publishing itself fails
@@ -999,35 +1048,27 @@ let rec exec_fused st ~name (ir : Fusion.t) =
       try
         Array.iter
           (fun (op_id, schema, buf, rows) ->
-            let m =
-              {
-                schema;
-                rows;
-                buf = Some buf;
-                host = None;
-                remaining = consumer_units_of st op_id;
-              }
-            in
-            publish st op_id m)
+            publish_buf st op_id ~schema ~rows buf)
           outs;
-        consume st
-          (Array.to_list
-             (Array.map (fun (i : Fusion.input_info) -> i.source) ir.inputs))
+        consume st sources
       with e ->
         Array.iter
           (fun (op_id, _, buf, _) ->
             if st.node_mats.(op_id) = None then Memory.free st.mem buf)
           outs;
         raise e)
-  | exception Fallback_needed -> exec_fallback st ~name ir
+  | exception Fallback_needed ->
+      exec_fallback_node st ~name ~op_id:(List.hd ir.op_ids)
+        ~consumed_sources:sources
   | exception Needs_split grown_cfg ->
       (* fission fallback: split the group under the grown resource
          estimate and execute the pieces; each piece retries (and may
          split again) independently *)
-      spend_recovery_token st ~action:"fission"
-        ~estimate:(spent_cycles st -. unit_t0);
-      st.fissions <- st.fissions + 1;
-      Weaver_obs.Trace.instant st.trace ~lane:Weaver_obs.Trace.Host "fission"
+      gate st.run ~action:"fission"
+        ~estimate:(spent_cycles st.run -. unit_t0);
+      st.run.fissions <- st.run.fissions + 1;
+      Weaver_obs.Trace.instant st.run.trace ~lane:Weaver_obs.Trace.Host
+        "fission"
         ~args:[ ("group", Weaver_obs.Trace.Str name) ];
       let subgroups =
         Selection.select ~plan
@@ -1073,14 +1114,9 @@ let rec exec_fused st ~name (ir : Fusion.t) =
                 (1 + Option.value (Hashtbl.find_opt reads i.source) ~default:0))
             sub.inputs)
         sub_irs;
-      let original_input src =
-        Array.exists
-          (fun (i : Fusion.input_info) -> Plan.equal_source i.source src)
-          ir.inputs
-      in
       Hashtbl.iter
         (fun src cnt ->
-          if original_input src then begin
+          if List.exists (Plan.equal_source src) sources then begin
             let m = mat_of_source st src in
             m.remaining <- m.remaining + cnt - 1
           end
@@ -1100,7 +1136,7 @@ let rec exec_fused st ~name (ir : Fusion.t) =
 (* --- kernel-dependence units ---------------------------------------------- *)
 
 let exec_sort st ~op_id ~key_arity ~source =
-  Weaver_obs.Trace.with_span st.trace ~lane:Weaver_obs.Trace.Host
+  Weaver_obs.Trace.with_span st.run.trace ~lane:Weaver_obs.Trace.Host
     (Printf.sprintf "sort%d" op_id)
   @@ fun () ->
   let m = mat_of_source st source in
@@ -1127,18 +1163,11 @@ let exec_sort st ~op_id ~key_arity ~source =
    with e ->
      Memory.free st.mem out;
      raise e);
-  publish st op_id
-    {
-      schema = m.schema;
-      rows = m.rows;
-      buf = Some out;
-      host = None;
-      remaining = consumer_units_of st op_id;
-    };
+  publish_buf st op_id ~schema:m.schema ~rows:m.rows out;
   consume st [ source ]
 
 let exec_unique st ~op_id ~key_arity ~source =
-  Weaver_obs.Trace.with_span st.trace ~lane:Weaver_obs.Trace.Host
+  Weaver_obs.Trace.with_span st.run.trace ~lane:Weaver_obs.Trace.Host
     (Printf.sprintf "unique%d" op_id)
   @@ fun () ->
   let m = mat_of_source st source in
@@ -1146,14 +1175,13 @@ let exec_unique st ~op_id ~key_arity ~source =
   ensure_sorted st m ~key_arity;
   let cfg = config st in
   let name = Printf.sprintf "unique%d" op_id in
-  let o = Optimizer.optimize st.program.opt in
+  let o = Optimizer.optimize st.run.program.opt in
   (* the flags scratch (one shared word per row) bounds how far the slice
      capacity can grow on retries *)
   let max_cap =
     max cfg.Config.cap (cfg.Config.device.Device.max_shared_mem_per_cta / 8)
   in
-  let rec attempt cap tries =
-    let attempt_t0 = spent_cycles st in
+  let attempt cap ~temp ~result:_ =
     let grid = clamp_grid st ~rows:m.rows ~cap in
     (* every kernel of a standalone unit exists for its one operator:
        attribute all of them (partition included) to [op_id] *)
@@ -1180,94 +1208,69 @@ let exec_unique st ~op_id ~key_arity ~source =
         (Ra_lib.Gather_emit.emit_gather ~name:(name ^ "_gather")
            ~schema:m.schema ~stage_cap:cap)
     in
-    let temps = ref [] in
-    let temp b = temps := b :: !temps; b in
-    let free_temps () = List.iter (Memory.free st.mem) !temps; temps := [] in
-    try
-      let bounds =
-        temp
-          (alloc_buf st ~label:(name ^ "_bounds") ~words:(grid + 1)
-             ~bytes:(4 * (grid + 1)))
-      in
-      let staging =
-        temp
-          (alloc_buf st ~label:(name ^ "_staging")
-             ~words:(max 1 (grid * cap * Schema.arity m.schema))
-             ~bytes:(grid * cap * Schema.tuple_bytes m.schema))
-      in
-      let counts =
-        temp (alloc_buf st ~label:(name ^ "_counts") ~words:grid ~bytes:(4 * grid))
-      in
-      let buf = Option.get m.buf in
-      ignore (launch st partition ~params:[| buf; m.rows; bounds |] ~grid ~cta:32);
-      ignore
-        (launch st compute
-           ~params:[| buf; bounds; staging; counts |]
-           ~grid ~cta:cfg.Config.cta_threads);
-      let out, rows =
-        scan_and_gather st ~name ~scan_k ~gather_k ~staging ~counts ~grid
-          ~schema:m.schema
-      in
-      (* post-launch input verification (see exec_fused) *)
-      (try check_mat st m ~site:(name ^ "_input")
-       with e ->
-         Memory.free st.mem out;
-         raise e);
-      free_temps ();
-      (out, rows)
-    with
-    | e
-      when not
-             (match e with
-             | Interp.Runtime_error (Fault.Capacity_trap _) -> true
-             | _ -> false) ->
-        free_temps ();
-        raise e
-    | Interp.Runtime_error (Fault.Capacity_trap _) ->
-      free_temps ();
-      (* a key run outgrew the slice: double the slice until the flags
-         scratch no longer fits shared memory, then run host-side *)
-      let next = min (cap * 2) max_cap in
-      if next <= cap || tries >= cfg.Config.max_retries then
-        raise Fallback_needed;
-      spend_recovery_token st ~action:"capacity retry"
-        ~estimate:(spent_cycles st -. attempt_t0);
-      st.retries <- st.retries + 1;
-      Weaver_obs.Trace.instant st.trace ~lane:Weaver_obs.Trace.Host
-        "capacity_retry";
-      attempt next (tries + 1)
+    let bounds =
+      temp
+        (alloc_buf st ~label:(name ^ "_bounds") ~words:(grid + 1)
+           ~bytes:(4 * (grid + 1)))
+    in
+    let staging =
+      temp
+        (alloc_buf st ~label:(name ^ "_staging")
+           ~words:(max 1 (grid * cap * Schema.arity m.schema))
+           ~bytes:(grid * cap * Schema.tuple_bytes m.schema))
+    in
+    let counts =
+      temp (alloc_buf st ~label:(name ^ "_counts") ~words:grid ~bytes:(4 * grid))
+    in
+    let buf = Option.get m.buf in
+    ignore (launch st partition ~params:[| buf; m.rows; bounds |] ~grid ~cta:32);
+    ignore
+      (launch st compute
+         ~params:[| buf; bounds; staging; counts |]
+         ~grid ~cta:cfg.Config.cta_threads);
+    let out, rows =
+      scan_and_gather st ~name ~scan_k ~gather_k ~staging ~counts ~grid
+        ~schema:m.schema
+    in
+    (* post-launch input verification (see exec_fused) *)
+    (try check_mat st m ~site:(name ^ "_input")
+     with e ->
+       Memory.free st.mem out;
+       raise e);
+    (out, rows)
   in
-  match attempt cfg.Config.cap 0 with
+  (* a key run outgrew the slice: double the slice until the flags
+     scratch no longer fits shared memory, then run host-side *)
+  let next cap _ ~tries =
+    let next = min (cap * 2) max_cap in
+    if next <= cap || tries >= cfg.Config.max_retries then
+      raise Fallback_needed;
+    next
+  in
+  match capacity_retries st ~next attempt cfg.Config.cap with
   | exception Fallback_needed ->
       exec_fallback_node st ~name ~op_id ~consumed_sources:[ source ]
   | out, rows ->
-      publish st op_id
-        {
-          schema = m.schema;
-          rows;
-          buf = Some out;
-          host = None;
-          remaining = consumer_units_of st op_id;
-        };
+      publish_buf st op_id ~schema:m.schema ~rows out;
       consume st [ source ]
 
 let exec_aggregate st ~op_id ~source ~(lay : Ra_lib.Aggregate_emit.layout) =
-  Weaver_obs.Trace.with_span st.trace ~lane:Weaver_obs.Trace.Host
+  Weaver_obs.Trace.with_span st.run.trace ~lane:Weaver_obs.Trace.Host
     (Printf.sprintf "aggregate%d" op_id)
   @@ fun () ->
   let m = mat_of_source st source in
   ignore (upload st m);
   let cfg = config st in
   let name = Printf.sprintf "aggregate%d" op_id in
-  let o = Optimizer.optimize st.program.opt in
+  let o = Optimizer.optimize st.run.program.opt in
+  let out_schema = lay.Ra_lib.Aggregate_emit.out_schema in
   (* the CTA table must fit shared memory; leave room for rounding *)
   let fit_cap =
     max 1
       (cfg.Config.device.Device.max_shared_mem_per_cta * 3 / 4
       / max 1 (Schema.tuple_bytes lay.Ra_lib.Aggregate_emit.partial_schema))
   in
-  let rec attempt max_groups tries =
-    let attempt_t0 = spent_cycles st in
+  let attempt max_groups ~temp ~result =
     let slice = cfg.Config.cap * 8 in
     let grid = clamp_grid st ~rows:m.rows ~cap:slice in
     (* see exec_unique: a standalone unit's kernels all belong to its op *)
@@ -1292,82 +1295,57 @@ let exec_aggregate st ~op_id ~source ~(lay : Ra_lib.Aggregate_emit.layout) =
            ~max_groups ~stage_cap:max_groups ())
     in
     let partial_ar = Schema.arity lay.Ra_lib.Aggregate_emit.partial_schema in
-    let temps = ref [] in
-    let temp b = temps := b :: !temps; b in
-    (* the result buffer survives success but must not leak across retries *)
-    let result = ref None in
-    let free_temps () =
-      List.iter (Memory.free st.mem) !temps;
-      temps := [];
-      (match !result with Some b -> Memory.free st.mem b | None -> ());
-      result := None
+    let bounds =
+      temp
+        (alloc_buf st ~label:(name ^ "_bounds") ~words:(grid + 1)
+           ~bytes:(4 * (grid + 1)))
     in
-    try
-      let bounds =
-        temp
-          (alloc_buf st ~label:(name ^ "_bounds") ~words:(grid + 1)
-             ~bytes:(4 * (grid + 1)))
-      in
-      let staging =
-        temp
-          (alloc_buf st ~label:(name ^ "_staging")
-             ~words:(max 1 (grid * max_groups * partial_ar))
-             ~bytes:
-               (grid * max_groups
-               * Schema.tuple_bytes lay.Ra_lib.Aggregate_emit.partial_schema))
-      in
-      let counts =
-        temp (alloc_buf st ~label:(name ^ "_counts") ~words:grid ~bytes:(4 * grid))
-      in
-      let out_schema = lay.Ra_lib.Aggregate_emit.out_schema in
-      let out =
-        alloc_rel st ~label:(name ^ "_out") ~rows:max_groups ~schema:out_schema
-      in
-      result := Some out;
-      let out_count =
-        temp (alloc_buf st ~label:(name ^ "_outcount") ~words:1 ~bytes:4)
-      in
-      let buf = Option.get m.buf in
-      ignore (launch st partition ~params:[| buf; m.rows; bounds |] ~grid ~cta:32);
-      ignore
-        (launch st partial
-           ~params:[| buf; bounds; staging; counts |]
-           ~grid ~cta:32);
-      ignore
-        (launch st final
-           ~params:[| staging; counts; grid; out; out_count |]
-           ~grid:1 ~cta:1);
-      let rows = (Memory.data st.mem out_count).(0) in
-      (* post-launch input verification (see exec_fused); on failure
-         [free_temps] below releases the result buffer too *)
-      check_mat st m ~site:(name ^ "_input");
-      result := None;
-      free_temps ();
-      (out, rows, out_schema)
-    with
-    | e
-      when not
-             (match e with
-             | Interp.Runtime_error (Fault.Capacity_trap _) -> true
-             | _ -> false) ->
-        free_temps ();
-        raise e
-    | Interp.Runtime_error (Fault.Capacity_trap _) ->
-      free_temps ();
-      let next = min (max_groups * 2) fit_cap in
-      if next <= max_groups || tries >= cfg.Config.max_retries then
-        raise Fallback_needed;
-      spend_recovery_token st ~action:"capacity retry"
-        ~estimate:(spent_cycles st -. attempt_t0);
-      st.retries <- st.retries + 1;
-      Weaver_obs.Trace.instant st.trace ~lane:Weaver_obs.Trace.Host
-        "capacity_retry";
-      attempt next (tries + 1)
+    let staging =
+      temp
+        (alloc_buf st ~label:(name ^ "_staging")
+           ~words:(max 1 (grid * max_groups * partial_ar))
+           ~bytes:
+             (grid * max_groups
+             * Schema.tuple_bytes lay.Ra_lib.Aggregate_emit.partial_schema))
+    in
+    let counts =
+      temp (alloc_buf st ~label:(name ^ "_counts") ~words:grid ~bytes:(4 * grid))
+    in
+    (* the result buffer survives success but must not leak across retries *)
+    let out =
+      result
+        (alloc_rel st ~label:(name ^ "_out") ~rows:max_groups ~schema:out_schema)
+    in
+    let out_count =
+      temp (alloc_buf st ~label:(name ^ "_outcount") ~words:1 ~bytes:4)
+    in
+    let buf = Option.get m.buf in
+    ignore (launch st partition ~params:[| buf; m.rows; bounds |] ~grid ~cta:32);
+    ignore
+      (launch st partial
+         ~params:[| buf; bounds; staging; counts |]
+         ~grid ~cta:32);
+    ignore
+      (launch st final
+         ~params:[| staging; counts; grid; out; out_count |]
+         ~grid:1 ~cta:1);
+    let rows = (Memory.data st.mem out_count).(0) in
+    (* post-launch input verification (see exec_fused) *)
+    check_mat st m ~site:(name ^ "_input");
+    (out, rows)
   in
-  match attempt (min cfg.Config.max_groups fit_cap) 0 with
+  let next max_groups _ ~tries =
+    let next = min (max_groups * 2) fit_cap in
+    if next <= max_groups || tries >= cfg.Config.max_retries then
+      raise Fallback_needed;
+    next
+  in
+  match
+    capacity_retries st ~next attempt (min cfg.Config.max_groups fit_cap)
+  with
   | exception Fallback_needed ->
       exec_fallback_node st ~name ~op_id ~consumed_sources:[ source ]
-  | out, rows, out_schema ->
+  | out, rows ->
   (* shrink the result to its actual size; [out] is unowned until the
      dense copy exists, so free it if the shrink allocation fails *)
   let dense =
@@ -1379,14 +1357,7 @@ let exec_aggregate st ~op_id ~source ~(lay : Ra_lib.Aggregate_emit.layout) =
   Array.blit (Memory.data st.mem out) 0 (Memory.data st.mem dense) 0
     (rows * Schema.arity out_schema);
   Memory.free st.mem out;
-  publish st op_id
-    {
-      schema = out_schema;
-      rows;
-      buf = Some dense;
-      host = None;
-      remaining = consumer_units_of st op_id;
-    };
+  publish_buf st op_id ~schema:out_schema ~rows dense;
   consume st [ source ]
 
 (* --- top level ------------------------------------------------------------ *)
@@ -1429,53 +1400,51 @@ let run_result ?(cancel = Cancel.none) ?(trace = Weaver_obs.Trace.none) program
      included: one-shot injected events do not refire on the demoted
      attempt, and every attempt's traffic stays charged. *)
   let pcie = Pcie.create ~faults ~trace program.config.Config.device in
-  (* counters survive a failed attempt so the demoted re-run charges it *)
-  let saved_reports = ref [] in
-  let saved_cycles = ref 0.0 in
-  let saved_retries = ref 0 in
-  let saved_fissions = ref 0 in
-  let saved_budget = ref 0 in
-  let saved_corruptions = ref 0 in
-  let saved_cfs = ref [] in
-  let replayed = ref 0.0 in
-  let saved_replay = ref 0.0 in
-  let last_mem = ref None in
-  (* the checkpoint ledger spans every attempt of the run — entries taken
-     by a failed attempt are exactly what the next attempt resumes from *)
-  let ckpt =
+  let run =
     {
-      ck_on = program.config.Config.checkpoint;
-      ck_budget =
-        int_of_float
-          (program.config.Config.checkpoint_budget_frac
-          *. float_of_int program.config.Config.device.Device.global_mem_bytes);
-      ck_entries = [];
-      ck_bytes = 0;
-      ck_taken = 0;
-      ck_hits = 0;
-      ck_evicted = 0;
-      ck_last_spent = 0.0;
+      program;
+      pcie;
+      faults;
+      cancel;
+      trace;
+      (* the checkpoint ledger spans every attempt of the run — entries
+         taken by a failed attempt are exactly what the next attempt
+         resumes from *)
+      ckpt =
+        {
+          ck_on = program.config.Config.checkpoint;
+          ck_budget =
+            int_of_float
+              (program.config.Config.checkpoint_budget_frac
+              *. float_of_int program.config.Config.device.Device.global_mem_bytes);
+          ck_entries = [];
+          ck_bytes = 0;
+          ck_taken = 0;
+          ck_hits = 0;
+          ck_evicted = 0;
+          ck_last_spent = 0.0;
+        };
+      reports = [];
+      kernel_cycles = 0.0;
+      retries = 0;
+      fissions = 0;
+      budget_spent = 0;
+      corruptions = 0;
+      counterfactuals = [];
+      replayed = 0.0;
+      saved_replay = 0.0;
+      mem = None;
     }
   in
+  let ckpt = run.ckpt in
   let attempt ~mode ~demotions ~rollbacks =
     let mem = Memory.create ~faults ~trace program.config.Config.device in
+    run.mem <- Some mem;
     let st =
       {
-        program;
+        run;
         mem;
-        pcie;
-        faults;
-        cancel;
-        trace;
         mode;
-        reports = !saved_reports;
-        kernel_cycles = !saved_cycles;
-        retries = !saved_retries;
-        fissions = !saved_fissions;
-        budget_spent = !saved_budget;
-        corruptions = !saved_corruptions;
-        counterfactuals = !saved_cfs;
-        ckpt;
         restored = Hashtbl.create 8;
         base_mats =
           Array.map
@@ -1491,6 +1460,26 @@ let run_result ?(cancel = Cancel.none) ?(trace = Weaver_obs.Trace.none) program
         node_mats = Array.make (Plan.node_count program.plan) None;
         pending_extra = Hashtbl.create 8;
       }
+    in
+    (* Sweep, then release every device materialization. The sweep runs
+       while every materialization is still live, so each outstanding
+       mismatch is counted exactly once: on the failure path the one that
+       raised (if corruption is what killed the attempt) and any
+       concurrent flips; on the success path a flip that landed after its
+       buffer's last verification (e.g. on a sink whose host copy was
+       already cached) — but the outputs no longer depend on the device
+       copy, so the run stands rather than raising. After the release,
+       whatever is still live in the manager is a lifetime bug, surfaced
+       as a leak — a cancelled or deadline-missed query must leave the
+       (simulated) device empty too. *)
+    let sweep_and_release () =
+      (if program.config.Config.integrity then
+         run.corruptions <-
+           run.corruptions + List.length (Memory.mismatches mem));
+      Array.iter (fun m -> free_device st m) st.base_mats;
+      Array.iter
+        (function Some m -> free_device st m | None -> ())
+        st.node_mats
     in
     let module T = Weaver_obs.Trace in
     let run_sp =
@@ -1509,7 +1498,7 @@ let run_result ?(cancel = Cancel.none) ?(trace = Weaver_obs.Trace.none) program
     try
       (* a non-positive deadline (or an already-fired token) fails the run
          before any work, including the base uploads *)
-      check_budget st;
+      check_budget run;
       (* Restore from the checkpoint ledger: a unit whose every output has
          a verified snapshot is skipped this attempt; its results come
          back as host-only mats, re-uploaded on demand. The two-pass shape
@@ -1544,27 +1533,7 @@ let run_result ?(cancel = Cancel.none) ?(trace = Weaver_obs.Trace.none) program
         st.restored;
       (* base consumer counts (skip-aware: a restored unit reads nothing) *)
       Array.iteri
-        (fun i (m : mat) ->
-          let src = Plan.Base i in
-          m.remaining <-
-            List.fold_left
-              (fun acc u ->
-                if unit_skipped st u then acc
-                else
-                  let srcs =
-                    match u with
-                    | U_fused { ir; _ } ->
-                        Array.to_list
-                          (Array.map
-                             (fun (x : Fusion.input_info) -> x.source)
-                             ir.inputs)
-                    | U_sort { source; _ } | U_unique { source; _ }
-                    | U_aggregate { source; _ } ->
-                        [ source ]
-                  in
-                  if List.exists (Plan.equal_source src) srcs then acc + 1
-                  else acc)
-              0 program.units)
+        (fun i (m : mat) -> m.remaining <- readers st (Plan.Base i))
         st.base_mats;
       (* In Resident mode, upload every base once up front (the paper's
          small-input protocol); Streamed uploads on demand. *)
@@ -1591,35 +1560,8 @@ let run_result ?(cancel = Cancel.none) ?(trace = Weaver_obs.Trace.none) program
             | None -> exec_error "sink %d was never computed" id)
           (Plan.sinks program.plan)
       in
-      (* Final integrity sweep, while every materialization is still live:
-         a flip that landed after its buffer's last verification (e.g. on a
-         sink whose host copy was already cached) is still detected and
-         counted here — but the outputs no longer depend on the device
-         copy, so the run stands rather than raising. *)
-      (if program.config.Config.integrity then
-         st.corruptions <-
-           st.corruptions + List.length (Memory.mismatches st.mem));
-      (* release every device materialization; whatever is still live in
-         the manager after that is a lifetime bug, surfaced as a leak *)
-      Array.iter (fun m -> free_device st m) st.base_mats;
-      Array.iter
-        (function Some m -> free_device st m | None -> ())
-        st.node_mats;
-      let leaks =
-        List.map
-          (fun (b, l) -> (l, Memory.bytes mem b))
-          (Memory.live_buffers mem)
-      in
-      let metrics =
-        Metrics.collect ~reports:(List.rev st.reports) ~pcie
-          ~peak_global_bytes:(Memory.peak_bytes mem) ~retries:st.retries
-          ~fissions:st.fissions ~demotions
-          ~faults_injected:(Fault_inject.injected faults) ~leaks
-          ~corruptions:st.corruptions ~rollbacks ~checkpoints:ckpt.ck_taken
-          ~checkpoint_hits:ckpt.ck_hits ~checkpoints_evicted:ckpt.ck_evicted
-          ~replayed_cycles:!replayed ~saved_replay_cycles:!saved_replay
-          ~counterfactuals:(List.rev st.counterfactuals) ()
-      in
+      sweep_and_release ();
+      let metrics = metrics_of run mem ~demotions ~rollbacks in
       (* per-operator ledger summary on its own trace lane, so the Chrome
          export carries the EXPLAIN ANALYZE view *)
       (if T.recording trace && program.config.Config.attrib then begin
@@ -1643,49 +1585,8 @@ let run_result ?(cancel = Cancel.none) ?(trace = Weaver_obs.Trace.none) program
       { sinks; metrics }
     with e ->
       T.close trace run_sp;
-      (* sweep before the cleanup frees retire the evidence: every
-         outstanding mismatch — the one that raised (if corruption is what
-         killed the attempt) and any concurrent flips — is counted exactly
-         once, here *)
-      (if program.config.Config.integrity then
-         st.corruptions <-
-           st.corruptions + List.length (Memory.mismatches st.mem));
-      saved_reports := st.reports;
-      saved_cycles := st.kernel_cycles;
-      saved_retries := st.retries;
-      saved_fissions := st.fissions;
-      saved_budget := st.budget_spent;
-      saved_corruptions := st.corruptions;
-      saved_cfs := st.counterfactuals;
-      (* failure-path cleanup: every materialization is released so a
-         cancelled or deadline-missed query leaves the (simulated) device
-         empty — anything still live afterwards is a genuine lifetime bug
-         and shows up in the partial metrics' leak list *)
-      Array.iter (fun m -> free_device st m) st.base_mats;
-      Array.iter
-        (function Some m -> free_device st m | None -> ())
-        st.node_mats;
-      last_mem := Some mem;
+      sweep_and_release ();
       raise e
-  in
-  let partial ~demotions ~rollbacks =
-    let leaks, peak =
-      match !last_mem with
-      | Some mem ->
-          ( List.map
-              (fun (b, l) -> (l, Memory.bytes mem b))
-              (Memory.live_buffers mem),
-            Memory.peak_bytes mem )
-      | None -> ([], 0)
-    in
-    Metrics.collect ~reports:(List.rev !saved_reports) ~pcie
-      ~peak_global_bytes:peak ~retries:!saved_retries
-      ~fissions:!saved_fissions ~demotions
-      ~faults_injected:(Fault_inject.injected faults) ~leaks
-      ~corruptions:!saved_corruptions ~rollbacks ~checkpoints:ckpt.ck_taken
-      ~checkpoint_hits:ckpt.ck_hits ~checkpoints_evicted:ckpt.ck_evicted
-      ~replayed_cycles:!replayed ~saved_replay_cycles:!saved_replay
-      ~counterfactuals:(List.rev !saved_cfs) ()
   in
   (* Policy order (see DESIGN.md "Fault model & recovery"): retries and
      fission already happened inside the attempt; what escapes here is a
@@ -1708,58 +1609,6 @@ let run_result ?(cancel = Cancel.none) ?(trace = Weaver_obs.Trace.none) program
     | Fault.Cancelled _ | Fault.Deadline_exceeded _ -> f
     | f -> ( match Cancel.cancelled cancel with Some c -> c | None -> f)
   in
-  (* A run-level restart (rollback to the last checkpoint, or a
-     Resident->Streamed demotion) is a recovery action too: it passes the
-     same budget gates as a retry. [estimate] is what the restart is
-     expected to cost — for a demotion the whole query so far, for a
-     rollback only the suffix after the last verified checkpoint, which is
-     the point of checkpointing: the deadline veto is re-judged against
-     the shorter remaining work. *)
-  let restart_veto ~action ~estimate =
-    match Cancel.cancelled cancel with
-    | Some f -> Some f
-    | None -> (
-        match program.config.Config.retry_budget with
-        | None -> None
-        | Some budget ->
-            if !saved_budget >= budget then
-              Some
-                (Fault.Budget_vetoed
-                   {
-                     action;
-                     reason =
-                       Fault.Tokens_exhausted { budget; spent = !saved_budget };
-                   })
-            else
-              let spent = !saved_cycles +. Pcie.total_cycles pcie in
-              let vetoed =
-                match program.config.Config.deadline_cycles with
-                | Some limit when estimate > limit -. spent ->
-                    Some
-                      (Fault.Budget_vetoed
-                         {
-                           action;
-                           reason =
-                             Fault.Deadline_too_close
-                               {
-                                 estimated = estimate;
-                                 remaining = Float.max (limit -. spent) 0.0;
-                               };
-                         })
-                | _ -> None
-              in
-              if vetoed = None then saved_budget := !saved_budget + 1;
-              vetoed)
-  in
-  let emit_veto veto =
-    if Weaver_obs.Trace.active trace then
-      match veto with
-      | Fault.Budget_vetoed { action; _ } ->
-          Weaver_obs.Trace.instant trace ~lane:Weaver_obs.Trace.Host
-            "budget_veto"
-            ~args:[ ("action", Weaver_obs.Trace.Str action) ]
-      | _ -> ()
-  in
   (* the faults the rollback rung is willing to absorb: transient
      infrastructure faults plus detected corruption. Deadline_exceeded,
      Cancelled and Budget_vetoed stay terminal by construction. *)
@@ -1777,21 +1626,26 @@ let run_result ?(cancel = Cancel.none) ?(trace = Weaver_obs.Trace.none) program
      2. demotion — a Resident device OOM restarts Streamed (and still
         restores whatever the ledger holds);
      3. fail with a typed, attempt-counted fault.
+     A restart is a recovery action too: it passes the same [gate] as a
+     retry, with the cost it is expected to take as its estimate — for a
+     demotion the whole query so far, for a rollback only the suffix after
+     the last verified checkpoint, which is the point of checkpointing:
+     the deadline veto is re-judged against the shorter remaining work.
      Replay accounting: of the cycles the failed attempt burned, the part
      before the newest checkpoint is charged to [saved_replay] (the ledger
      saved re-spending it), the rest to [replayed]. *)
   let rec drive ~mode ~demotions ~rollbacks ~last_taken =
-    let t0 = !saved_cycles +. Pcie.total_cycles pcie in
+    let t0 = spent_cycles run in
     match attempt ~mode ~demotions ~rollbacks with
     | r -> Ok r
     | exception Fault.Error f -> (
-        let fail_spent = !saved_cycles +. Pcie.total_cycles pcie in
-        let lost = Float.max 0.0 (fail_spent -. t0) in
+        let lost = Float.max 0.0 (spent_cycles run -. t0) in
         let fail fault =
           Error
             {
               fault;
-              partial = partial ~demotions ~rollbacks;
+              partial =
+                metrics_of run (Option.get run.mem) ~demotions ~rollbacks;
               trail = Weaver_obs.Trace.trail trace;
             }
         in
@@ -1800,41 +1654,35 @@ let run_result ?(cancel = Cancel.none) ?(trace = Weaver_obs.Trace.none) program
           && rollbacks < program.config.Config.max_retries
           && (rollbacks = 0 || ckpt.ck_taken > last_taken)
         in
-        if can_rollback then begin
-          let covered =
-            Float.max 0.0 (Float.min lost (ckpt.ck_last_spent -. t0))
-          in
-          let suffix = lost -. covered in
-          match restart_veto ~action:"rollback" ~estimate:suffix with
-          | Some veto ->
-              emit_veto veto;
-              fail veto
-          | None ->
-              replayed := !replayed +. suffix;
-              saved_replay := !saved_replay +. covered;
-              Weaver_obs.Trace.instant trace ~lane:Weaver_obs.Trace.Host
-                "rollback"
-                ~args:
-                  [ ("restored", Weaver_obs.Trace.Int (List.length ckpt.ck_entries)) ];
-              drive ~mode ~demotions ~rollbacks:(rollbacks + 1)
-                ~last_taken:ckpt.ck_taken
-        end
-        else
-          match f with
-          | Fault.Alloc_failure _ when mode = Resident -> (
-              let spent_now = !saved_cycles +. Pcie.total_cycles pcie in
-              match restart_veto ~action:"demotion" ~estimate:spent_now with
-              | Some veto ->
-                  emit_veto veto;
-                  fail veto
-              | None ->
-                  replayed := !replayed +. lost;
-                  Weaver_obs.Trace.instant trace ~lane:Weaver_obs.Trace.Host
-                    "demotion";
-                  drive ~mode:Streamed ~demotions:(demotions + 1) ~rollbacks
-                    ~last_taken:ckpt.ck_taken)
-          | f ->
-              fail (wrap ~attempts:(1 + demotions + rollbacks) (surface f)))
+        (* only a gate veto can raise here: [drive] returns every fault of
+           the restarted attempts as a value *)
+        try
+          if can_rollback then begin
+            let covered =
+              Float.max 0.0 (Float.min lost (ckpt.ck_last_spent -. t0))
+            in
+            let suffix = lost -. covered in
+            gate run ~action:"rollback" ~estimate:suffix;
+            run.replayed <- run.replayed +. suffix;
+            run.saved_replay <- run.saved_replay +. covered;
+            Weaver_obs.Trace.instant trace ~lane:Weaver_obs.Trace.Host
+              "rollback"
+              ~args:
+                [ ("restored", Weaver_obs.Trace.Int (List.length ckpt.ck_entries)) ];
+            drive ~mode ~demotions ~rollbacks:(rollbacks + 1)
+              ~last_taken:ckpt.ck_taken
+          end
+          else
+            match f with
+            | Fault.Alloc_failure _ when mode = Resident ->
+                gate run ~action:"demotion" ~estimate:(spent_cycles run);
+                run.replayed <- run.replayed +. lost;
+                Weaver_obs.Trace.instant trace ~lane:Weaver_obs.Trace.Host
+                  "demotion";
+                drive ~mode:Streamed ~demotions:(demotions + 1) ~rollbacks
+                  ~last_taken:ckpt.ck_taken
+            | f -> fail (wrap ~attempts:(1 + demotions + rollbacks) (surface f))
+        with Fault.Error veto -> fail veto)
   in
   drive ~mode ~demotions:0 ~rollbacks:0 ~last_taken:0
 
@@ -1843,83 +1691,66 @@ let run ?cancel ?trace program bases ~mode =
   | Ok r -> r
   | Error { fault; _ } -> raise (Execution_error fault)
 
-let kernels_source program =
-  let buf = Buffer.create 4096 in
-  let o = Optimizer.optimize program.opt in
-  let add k = Buffer.add_string buf (Cuda_emit.kernel_source (o k)) in
-  List.iter
-    (fun u ->
-      match u with
+(* Every unit's woven KIR, unoptimized and in execution order, each fused
+   compute kernel with its layout's shared-memory regions; a modelled sort
+   has no kernel and stands as its op id. *)
+let program_kernels program =
+  let cfg = program.config in
+  List.concat_map
+    (function
       | U_fused { name; ir } ->
-          let lay = Layout.compute program.config program.plan ir in
-          let ks = Codegen.generate program.config ~name ir lay in
-          add ks.Codegen.partition;
-          add ks.Codegen.compute;
-          Array.iter add ks.Codegen.scans;
-          Array.iter add ks.Codegen.gathers
-      | U_sort { op_id; _ } ->
-          Buffer.add_string buf
-            (Printf.sprintf "/* sort%d: modelled multi-pass merge sort */\n"
-               op_id)
-      | U_unique { op_id; key_arity; source = _ } ->
-          let schema =
-            (Plan.node program.plan op_id).Plan.schema
-          in
-          add
-            (Ra_lib.Unique_emit.emit_compute ~op:op_id
-               ~name:(Printf.sprintf "unique%d_compute" op_id)
-               ~schema ~key_arity ~cap:program.config.Config.cap
-               ~stage_cap:program.config.Config.cap ())
-      | U_aggregate { op_id; lay; _ } ->
-          add
-            (Ra_lib.Aggregate_emit.emit_partial ~op:op_id
-               ~name:(Printf.sprintf "aggregate%d_partial" op_id)
-               lay ~max_groups:program.config.Config.max_groups
-               ~stage_cap:program.config.Config.max_groups ());
-          add
-            (Ra_lib.Aggregate_emit.emit_final ~op:op_id
-               ~name:(Printf.sprintf "aggregate%d_final" op_id)
-               lay ~max_groups:program.config.Config.max_groups
-               ~stage_cap:program.config.Config.max_groups ()))
-    program.units;
-  Buffer.contents buf
-
-let analyze_program program =
-  let reports = ref [] in
-  let add ?regions k =
-    reports := analyze_kernel ?regions k :: !reports
-  in
-  List.iter
-    (fun u ->
-      match u with
-      | U_fused { name; ir } ->
-          let lay = Layout.compute program.config program.plan ir in
-          let ks = Codegen.generate program.config ~name ir lay in
-          add ks.Codegen.partition;
-          add ~regions:(layout_regions lay ~n_in:(Array.length ir.Fusion.inputs))
-            ks.Codegen.compute;
-          Array.iter add ks.Codegen.scans;
-          Array.iter add ks.Codegen.gathers
-      | U_sort _ ->
-          (* modelled multi-pass merge sort: no woven KIR to certify *)
-          ()
+          let lay = Layout.compute cfg program.plan ir in
+          let ks = Codegen.generate cfg ~name ir lay in
+          let plain k = `Kernel (k, []) in
+          (plain ks.Codegen.partition
+          :: `Kernel
+               ( ks.Codegen.compute,
+                 layout_regions lay ~n_in:(Array.length ir.Fusion.inputs) )
+          :: List.map plain (Array.to_list ks.Codegen.scans))
+          @ List.map plain (Array.to_list ks.Codegen.gathers)
+      | U_sort { op_id; _ } -> [ `Sort op_id ]
       | U_unique { op_id; key_arity; source = _ } ->
           let schema = (Plan.node program.plan op_id).Plan.schema in
-          add
-            (Ra_lib.Unique_emit.emit_compute ~op:op_id
-               ~name:(Printf.sprintf "unique%d_compute" op_id)
-               ~schema ~key_arity ~cap:program.config.Config.cap
-               ~stage_cap:program.config.Config.cap ())
+          [
+            `Kernel
+              ( Ra_lib.Unique_emit.emit_compute ~op:op_id
+                  ~name:(Printf.sprintf "unique%d_compute" op_id)
+                  ~schema ~key_arity ~cap:cfg.Config.cap
+                  ~stage_cap:cfg.Config.cap (),
+                [] );
+          ]
       | U_aggregate { op_id; lay; _ } ->
-          add
-            (Ra_lib.Aggregate_emit.emit_partial ~op:op_id
-               ~name:(Printf.sprintf "aggregate%d_partial" op_id)
-               lay ~max_groups:program.config.Config.max_groups
-               ~stage_cap:program.config.Config.max_groups ());
-          add
-            (Ra_lib.Aggregate_emit.emit_final ~op:op_id
-               ~name:(Printf.sprintf "aggregate%d_final" op_id)
-               lay ~max_groups:program.config.Config.max_groups
-               ~stage_cap:program.config.Config.max_groups ()))
-    program.units;
-  List.rev !reports
+          let max_groups = cfg.Config.max_groups in
+          [
+            `Kernel
+              ( Ra_lib.Aggregate_emit.emit_partial ~op:op_id
+                  ~name:(Printf.sprintf "aggregate%d_partial" op_id)
+                  lay ~max_groups ~stage_cap:max_groups (),
+                [] );
+            `Kernel
+              ( Ra_lib.Aggregate_emit.emit_final ~op:op_id
+                  ~name:(Printf.sprintf "aggregate%d_final" op_id)
+                  lay ~max_groups ~stage_cap:max_groups (),
+                [] );
+          ])
+    program.units
+
+let kernels_source program =
+  let o = Optimizer.optimize program.opt in
+  String.concat ""
+    (List.map
+       (function
+         | `Kernel (k, _) -> Cuda_emit.kernel_source (o k)
+         | `Sort op_id ->
+             Printf.sprintf "/* sort%d: modelled multi-pass merge sort */\n"
+               op_id)
+       (program_kernels program))
+
+let analyze_program program =
+  List.filter_map
+    (function
+      | `Kernel (k, regions) -> Some (analyze_kernel ~regions k)
+      | `Sort _ ->
+          (* modelled multi-pass merge sort: no woven KIR to certify *)
+          None)
+    (program_kernels program)

@@ -691,14 +691,23 @@ let run_batch ?(config = default_config) ?(trace = Weaver_obs.Trace.none)
           match run_with ~cancel:pcancel primary_cfg mode with
           | Ok res -> Ok (res, false)
           | Error pf -> (
-              match (hedge_cap, pf.Runtime.fault) with
-              | ( Some h,
-                  Fault.Deadline_exceeded
-                    { kind = Fault.Deadline_cycles; limit; _ } )
-                when limit = h ->
-                  (* the primary outlived the hedge cap (not the real
-                     deadline — the cap is strictly smaller): declare it
-                     the loser, charge its cycles, issue the backup *)
+              (* A hedged primary's only cycle deadline is the cap, which
+                 is strictly smaller than the real one: it lost to the cap
+                 when it outlived it, or when its recovery gate vetoed an
+                 attempt that could not finish inside it. *)
+              let lost_to_cap h = function
+                | Fault.Deadline_exceeded
+                    { kind = Fault.Deadline_cycles; limit; _ } ->
+                    limit = h
+                | Fault.Budget_vetoed
+                    { reason = Fault.Deadline_too_close _; _ } ->
+                    true
+                | _ -> false
+              in
+              match hedge_cap with
+              | Some h when lost_to_cap h pf.Runtime.fault ->
+                  (* declare the primary the loser, charge its cycles,
+                     issue the backup *)
                   incr hedges;
                   reg_inc "weaver_service_hedges_total";
                   T.instant trace ~lane:T.Service "hedge_issue"

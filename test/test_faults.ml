@@ -363,6 +363,55 @@ let test_deadline_fault_race () =
           Alcotest.fail
             ("slack deadline must lose the race, got " ^ Fault.render other))
 
+(* A failed PCIe transfer charges its bus time before raising, so it can
+   carry a run past its cycle deadline. The recovery that would follow —
+   a transfer retry, or (checkpointing on, no transfer retries) a rollback
+   — meets the gate with the deadline already spent, and both rungs must
+   surface the same missed deadline, with or without a token budget: a
+   one-cycle deadline and the first transfer failing. *)
+let test_spent_deadline_at_gate () =
+  let wl = pattern_wl (Tpch.Patterns.pattern_b ()) in
+  let run ~retry_budget ~rollback =
+    let config =
+      {
+        wl.config with
+        Weaver.Config.faults = Some "transfer@1";
+        deadline_cycles = Some 1.0;
+        retry_budget;
+        checkpoint = rollback;
+        transfer_retries = (if rollback then 0 else 3);
+      }
+    in
+    let program = Weaver.Driver.compile ~config wl.plan in
+    match
+      Weaver.Runtime.run_result program wl.bases ~mode:Weaver.Runtime.Streamed
+    with
+    | Ok _ -> Alcotest.fail "a one-cycle deadline cannot be met"
+    | Error f ->
+        let m = f.Weaver.Runtime.partial in
+        Alcotest.(check int) "no retry started" 0 m.Weaver.Metrics.retries;
+        Alcotest.(check int) "no rollback started" 0 m.Weaver.Metrics.rollbacks;
+        Alcotest.(check (list (pair string int)))
+          "nothing leaked" [] m.Weaver.Metrics.leaks;
+        f.Weaver.Runtime.fault
+  in
+  List.iter
+    (fun retry_budget ->
+      let retry = run ~retry_budget ~rollback:false in
+      let rollback = run ~retry_budget ~rollback:true in
+      (match retry with
+      | Fault.Deadline_exceeded { kind = Fault.Deadline_cycles; limit; spent }
+        ->
+          Alcotest.(check (float 0.0)) "limit" 1.0 limit;
+          Alcotest.(check bool) "spent past the limit" true (spent > limit)
+      | other ->
+          Alcotest.fail ("transfer retry surfaced " ^ Fault.render other));
+      Alcotest.(check bool)
+        ("rollback surfaces the same fault: " ^ Fault.render rollback)
+        true
+        (Fault.equal retry rollback))
+    [ None; Some 4 ]
+
 (* a client cancellation that lands while recovery is still grinding must
    surface as Cancelled — never as the recovery fault it interrupted *)
 let test_cancel_beats_recovery () =
@@ -964,6 +1013,8 @@ let suite =
       ("deadline vs fault race is deterministic", `Quick,
        test_deadline_fault_race);
       ("cancellation beats recovery", `Quick, test_cancel_beats_recovery);
+      ("spent deadline at the recovery gate", `Quick,
+       test_spent_deadline_at_gate);
       ("storm soak under token budget", `Slow, test_storm_soak);
       ("injector counters", `Quick, test_injector_counters);
       ("live buffer introspection", `Quick, test_live_buffers);

@@ -344,61 +344,72 @@ let prop_budget_bounded =
             QCheck.Test.fail_reportf "storm failure leaked: %s" desc
           else true)
 
+(* the deadline-cost veto: recovery must never start an attempt whose
+   estimate exceeds the remaining deadline budget. Evidence: every
+   Deadline_too_close veto carries estimate > remaining, and the run's
+   spent cycles at veto time are still within the deadline — the fast
+   failure fired INSTEAD of the doomed attempt, not after it *)
+let deadline_veto_sound seed =
+  let { plan; bases; desc } = build_random (seed + 29_000_000) in
+  let program0 = Weaver.Driver.compile plan in
+  let solo = Weaver.Driver.run program0 bases ~mode:Weaver.Runtime.Resident in
+  let t = Weaver.Metrics.total_cycles solo.Weaver.Runtime.metrics in
+  let deadline = (0.5 *. t) +. 1.0 in
+  let config =
+    {
+      Weaver.Config.default with
+      Weaver.Config.faults =
+        Some
+          (Printf.sprintf "rseed@%d,alloc%%0.15,launch%%0.15,transfer%%0.15"
+             (1 + (seed mod 89)));
+      retry_budget = Some 4;
+      deadline_cycles = Some deadline;
+    }
+  in
+  let program = Weaver.Driver.compile ~config plan in
+  match
+    Weaver.Runtime.run_result program bases ~mode:Weaver.Runtime.Resident
+  with
+  | Ok r ->
+      if r.Weaver.Runtime.metrics.Weaver.Metrics.leaks <> [] then
+        QCheck.Test.fail_reportf "survivor leaked: %s" desc
+      else true
+  | Error f -> (
+      if f.Weaver.Runtime.partial.Weaver.Metrics.leaks <> [] then
+        QCheck.Test.fail_reportf "failure leaked: %s" desc
+      else
+        match f.Weaver.Runtime.fault with
+        | Gpu_sim.Fault.Budget_vetoed
+            {
+              reason =
+                Gpu_sim.Fault.Deadline_too_close { estimated; remaining };
+              _;
+            } ->
+            if estimated <= remaining then
+              QCheck.Test.fail_reportf
+                "veto with estimate %.0f <= remaining %.0f: %s" estimated
+                remaining desc
+            else if
+              Weaver.Metrics.total_cycles f.Weaver.Runtime.partial
+              > deadline
+            then
+              QCheck.Test.fail_reportf
+                "veto fired after overshooting the deadline: %s" desc
+            else true
+        | _ -> true)
+
 let prop_deadline_veto_sound =
-  (* the deadline-cost veto: recovery must never start an attempt whose
-     estimate exceeds the remaining deadline budget. Evidence: every
-     Deadline_too_close veto carries estimate > remaining, and the run's
-     spent cycles at veto time are still within the deadline — the fast
-     failure fired INSTEAD of the doomed attempt, not after it *)
   QCheck.Test.make ~name:"vetoed attempts never start past the deadline"
-    ~count:40 arb_seed (fun seed ->
-      let { plan; bases; desc } = build_random (seed + 29_000_000) in
-      let program0 = Weaver.Driver.compile plan in
-      let solo = Weaver.Driver.run program0 bases ~mode:Weaver.Runtime.Resident in
-      let t = Weaver.Metrics.total_cycles solo.Weaver.Runtime.metrics in
-      let deadline = (0.5 *. t) +. 1.0 in
-      let config =
-        {
-          Weaver.Config.default with
-          Weaver.Config.faults =
-            Some
-              (Printf.sprintf "rseed@%d,alloc%%0.15,launch%%0.15,transfer%%0.15"
-                 (1 + (seed mod 89)));
-          retry_budget = Some 4;
-          deadline_cycles = Some deadline;
-        }
-      in
-      let program = Weaver.Driver.compile ~config plan in
-      match
-        Weaver.Runtime.run_result program bases ~mode:Weaver.Runtime.Resident
-      with
-      | Ok r ->
-          if r.Weaver.Runtime.metrics.Weaver.Metrics.leaks <> [] then
-            QCheck.Test.fail_reportf "survivor leaked: %s" desc
-          else true
-      | Error f -> (
-          if f.Weaver.Runtime.partial.Weaver.Metrics.leaks <> [] then
-            QCheck.Test.fail_reportf "failure leaked: %s" desc
-          else
-            match f.Weaver.Runtime.fault with
-            | Gpu_sim.Fault.Budget_vetoed
-                {
-                  reason =
-                    Gpu_sim.Fault.Deadline_too_close { estimated; remaining };
-                  _;
-                } ->
-                if estimated <= remaining then
-                  QCheck.Test.fail_reportf
-                    "veto with estimate %.0f <= remaining %.0f: %s" estimated
-                    remaining desc
-                else if
-                  Weaver.Metrics.total_cycles f.Weaver.Runtime.partial
-                  > deadline
-                then
-                  QCheck.Test.fail_reportf
-                    "veto fired after overshooting the deadline: %s" desc
-                else true
-            | _ -> true))
+    ~count:40 arb_seed deadline_veto_sound
+
+(* A counterexample of the property above, pinned: a failed transfer
+   (which charges its bus time) carried the run past its deadline, and
+   the recovery gate then vetoed the zero-estimate retry as
+   Deadline_too_close with the negative remaining budget clamped to 0 —
+   a deadline miss reported as a veto. *)
+let test_deadline_veto_pinned () =
+  Alcotest.(check bool) "seed 65044 (ops=[select,project,project])" true
+    (deadline_veto_sound 65044)
 
 let prop_storm_spec_roundtrip =
   (* the canonical printer is total over the storm grammar: for ANY
@@ -477,4 +488,8 @@ let suite =
       prop_budget_bounded;
       prop_deadline_veto_sound;
       prop_storm_spec_roundtrip;
+    ]
+  @ [
+      Alcotest.test_case "deadline veto: pinned seed 65044" `Quick
+        test_deadline_veto_pinned;
     ]

@@ -454,6 +454,38 @@ let test_hedge_loss_leak_free () =
   Alcotest.(check int) "counted as a deadline miss" 1
     stats.Weaver.Service.deadline_misses
 
+(* The other way a primary loses to the hedge cap: its recovery gate
+   vetoes an attempt that cannot finish inside it. The big query carries
+   a flip on its second launch under checkpointing; the Resident primary
+   detects it, and the rollback's estimate exceeds what is left of the
+   cap, so the gate vetoes it as Deadline_too_close. A hedged primary's
+   only deadline is the cap, so that veto makes it the loser: the
+   Streamed backup (no deadline left to veto anything) rolls back past
+   the same flip and completes, bit-identical to a clean solo run. *)
+let test_hedge_on_cap_veto () =
+  let small = wl ~rows:200 (Tpch.Patterns.pattern_a ()) in
+  let big_config =
+    {
+      Weaver.Config.default with
+      Weaver.Config.faults = Some "launch@2:flip";
+      checkpoint = true;
+      retry_budget = Some 8;
+    }
+  in
+  let big = wl ~rows:2_500 ~config:big_config (Tpch.Patterns.pattern_a ()) in
+  let clean = wl ~rows:2_500 (Tpch.Patterns.pattern_a ()) in
+  let reqs = [ req ~rid:0 small; req ~rid:1 small; req ~rid:2 big ] in
+  let responses, stats = Weaver.Service.run_batch ~config:hedge_config reqs in
+  let rbig = List.nth responses 2 in
+  Alcotest.(check bool) "big query was hedged" true rbig.Weaver.Service.hedged;
+  let res = completed ~what:"backup after a cap veto" rbig in
+  check_sinks ~what:"backup result" (solo ~mode:Weaver.Runtime.Streamed clean)
+    res;
+  Alcotest.(check int) "one hedge issued" 1 stats.Weaver.Service.hedges;
+  Alcotest.(check int) "hedge won" 1 stats.Weaver.Service.hedge_wins;
+  Alcotest.(check int) "the primary's veto is not a request failure" 0
+    stats.Weaver.Service.budget_vetoes
+
 (* --- dedicated rejection counters -------------------------------------------- *)
 
 let test_rejection_counters () =
@@ -491,5 +523,6 @@ let suite =
     ("degradation ladder full cycle", `Quick, test_brownout_ladder);
     ("hedged launch wins", `Quick, test_hedge_win);
     ("hedge loss stays leak-free", `Quick, test_hedge_loss_leak_free);
+    ("deadline veto against the cap hedges", `Quick, test_hedge_on_cap_veto);
     ("dedicated rejection counters", `Quick, test_rejection_counters);
   ]
