@@ -27,9 +27,11 @@ soak: build
 	dune exec bench/main.exe -- --jobs 0 --json _build/soak-overload.json quick overload
 
 # Static-analysis gate over every golden workload (micro-patterns
-# (a)-(e), ab, Q1, Q21): exits nonzero on any gating diagnostic.
+# (a)-(e), ab, Q1, Q21): exits nonzero on any gating diagnostic, and the
+# reports must match the committed expected output byte for byte.
 analyze: build
 	dune exec bin/weaver_cli.exe -- analyze all > _build/analyze.json
+	diff -u test/analyze_all.expected _build/analyze.json
 
 # Per-operator EXPLAIN ANALYZE over the same golden set: the
 # cost-attribution table (cycles, roofline, fusion counterfactual) in

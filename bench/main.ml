@@ -139,10 +139,12 @@ let bechamel_suite ~jobs () =
         pattern_test (Tpch.Patterns.pattern_a ()) ~rows:20_000;
         pattern_test (Tpch.Patterns.pattern_b ()) ~rows:10_000;
         pattern_test (Tpch.Patterns.pattern_e ()) ~rows:20_000;
+        (* the sequential baseline and the --jobs run stay two distinct
+           rows even when --jobs is 1 *)
         pattern_test (Tpch.Patterns.pattern_a ()) ~rows:100_000 ~config:seq
-          ~label:"pattern-a-jobs1";
+          ~label:"pattern-a-seq-jobs1";
         pattern_test (Tpch.Patterns.pattern_a ()) ~rows:100_000 ~config:par
-          ~label:(Printf.sprintf "pattern-a-jobs%d" par.Weaver.Config.jobs);
+          ~label:(Printf.sprintf "pattern-a-par-jobs%d" par.Weaver.Config.jobs);
         compile_test;
         optimize_test;
       ]

@@ -254,7 +254,15 @@ let guard ?recorder f =
       usage_error "%s\n  %s" msg faults_usage
   | Invalid_argument msg | Failure msg -> usage_error "%s" msg
 
-let compile_query path = Datalog.compile (read_file path)
+(* Front-end errors in a query file are the user's to fix: a one-line
+   usage error (exit 2) naming the file, not an uncaught exception. *)
+let compile_query path =
+  let src = read_file path in
+  try Datalog.compile src
+  with e -> (
+    match Datalog.error_message e with
+    | Some msg -> usage_error "%s: %s" path msg
+    | None -> raise e)
 
 let bind_data q ~rows ~seed inputs =
   List.mapi
@@ -807,12 +815,12 @@ let lane_summary trace keep =
         let spans, instants =
           Option.value ~default:(0, 0) (Hashtbl.find_opt tbl key)
         in
-        match e.Weaver_obs.Trace.kind with
-        | Weaver_obs.Trace.Span | Weaver_obs.Trace.Wall ->
-            Hashtbl.replace tbl key (spans + 1, instants)
-        | Weaver_obs.Trace.Instant ->
-            Hashtbl.replace tbl key (spans, instants + 1)
-        | Weaver_obs.Trace.Counter -> ()
+        (* a lane holding only counter samples is listed as (0, 0) *)
+        Hashtbl.replace tbl key
+          (match e.Weaver_obs.Trace.kind with
+          | Weaver_obs.Trace.Span | Weaver_obs.Trace.Wall -> (spans + 1, instants)
+          | Weaver_obs.Trace.Instant -> (spans, instants + 1)
+          | Weaver_obs.Trace.Counter -> (spans, instants))
       end)
     (Weaver_obs.Trace.events trace);
   List.iter

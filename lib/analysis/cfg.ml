@@ -17,7 +17,9 @@ type t = {
   preach : bool array;
   psuccs_ : int list array;
   ipd : int array;  (* pruned immediate post-dominator; nblocks = virtual exit *)
-  barfree : Dataflow.Bits.t array;  (* per block: blocks reachable bar-free *)
+  barfree : Dataflow.Bits.t Lazy.t array;  (* per block: blocks reachable bar-free *)
+  mark : int array;  (* [region]'s visited stamps *)
+  mutable gen : int;
 }
 
 let kernel t = t.k
@@ -27,6 +29,7 @@ let block_of t i = t.blk_of.(i)
 let reachable t b = t.reach.(b)
 let preachable t b = t.preach.(b)
 let psuccs t b = t.psuccs_.(b)
+let ipd t b = t.ipd.(b)
 
 (* Branch target as a body position; None when the label or its position
    is out of range (the analyzer must not crash on invalid kernels). *)
@@ -113,71 +116,91 @@ let build (k : Kir.kernel) =
       blocks
   in
   let preach = dfs nb (nb > 0 && not blocks.(0).traps) (fun b -> psuccs_.(b)) in
-  (* Post-dominator sets on the pruned graph, with a virtual exit [nb]
-     succeeding every pruned-exit block; sets are over nb+1 nodes. *)
-  let full () =
-    let s = Dataflow.Bits.create (nb + 1) in
-    for i = 0 to nb do
-      Dataflow.Bits.set s i
-    done;
-    s
+  (* Immediate post-dominators on the pruned graph: Cooper–Harvey–Kennedy
+     iterative dominators on its reverse, rooted at a virtual exit [nb]
+     that succeeds every pruned-exit block. A block's predecessors in the
+     reverse graph are its pruned successors (or the exit). *)
+  let rpreds b = match psuccs_.(b) with [] -> [ nb ] | ss -> ss in
+  let rsuccs = Array.make (nb + 1) [] in
+  for b = nb - 1 downto 0 do
+    if preach.(b) then List.iter (fun s -> rsuccs.(s) <- b :: rsuccs.(s)) (rpreds b)
+  done;
+  (* postorder numbers of the reverse graph; -1: cannot reach the exit *)
+  let po = Array.make (nb + 1) (-1) and by_po = Array.make (nb + 1) nb in
+  let seen = Array.make (nb + 1) false and count = ref 0 in
+  let rec number v =
+    if not seen.(v) then begin
+      seen.(v) <- true;
+      List.iter number rsuccs.(v);
+      po.(v) <- !count;
+      by_po.(!count) <- v;
+      incr count
+    end
   in
-  let pdom = Array.init (nb + 1) (fun _ -> full ()) in
-  let vexit = Dataflow.Bits.create (nb + 1) in
-  Dataflow.Bits.set vexit nb;
-  pdom.(nb) <- vexit;
+  number nb;
+  let idom = Array.make (nb + 1) (-1) in
+  idom.(nb) <- nb;
+  let rec intersect a b =
+    if a = b then a else if po.(a) < po.(b) then intersect idom.(a) b else intersect a idom.(b)
+  in
   let changed = ref true in
   while !changed do
     changed := false;
-    for b = nb - 1 downto 0 do
-      if preach.(b) then begin
-        let ss = match psuccs_.(b) with [] -> [ nb ] | ss -> ss in
-        let acc = full () in
-        List.iter (fun s -> ignore (Dataflow.Bits.inter_into ~dst:acc pdom.(s))) ss;
-        Dataflow.Bits.set acc b;
-        if not (Dataflow.Bits.equal acc pdom.(b)) then begin
-          pdom.(b) <- acc;
-          changed := true
-        end
+    for i = !count - 2 downto 0 do
+      let v = by_po.(i) in
+      let d =
+        List.fold_left
+          (fun acc p -> if idom.(p) < 0 then acc else if acc < 0 then p else intersect p acc)
+          (-1) (rpreds v)
+      in
+      if d <> idom.(v) then begin
+        idom.(v) <- d;
+        changed := true
       end
     done
   done;
+  (* A block that cannot reach the exit (it is stuck in a loop) has no
+     post-dominator. It gets what the greatest-fixpoint post-dominator
+     sets give it, the strict post-dominator with the largest set, since
+     its own set is every node: the lowest-numbered other block whose set
+     is also full (unreachable or stuck), else the deepest block of the
+     post-dominator tree (lowest id on ties), else the exit. *)
+  let full p = (not preach.(p)) || po.(p) < 0 in
+  let depth = Array.make (nb + 1) 1 in
+  for i = !count - 2 downto 0 do
+    let v = by_po.(i) in
+    depth.(v) <- depth.(idom.(v)) + 1
+  done;
+  let lowest_full = ref [] (* the two lowest *) and deepest = ref nb in
+  for p = nb - 1 downto 0 do
+    if full p then lowest_full := p :: List.filteri (fun i _ -> i = 0) !lowest_full
+    else if depth.(p) >= depth.(!deepest) then deepest := p
+  done;
+  let stuck_ipd b =
+    match List.filter (fun p -> p <> b) !lowest_full with p :: _ -> p | [] -> !deepest
+  in
   let ipd =
     Array.init nb (fun b ->
-        if not preach.(b) then -1
-        else begin
-          (* the immediate post-dominator is the strict post-dominator
-             with the largest own pdom set (they form a chain) *)
-          let best = ref nb and best_sz = ref (-1) in
-          Dataflow.Bits.iter
-            (fun p ->
-              if p <> b then begin
-                let sz = Dataflow.Bits.count pdom.(p) in
-                if sz > !best_sz then begin
-                  best := p;
-                  best_sz := sz
-                end
-              end)
-            pdom.(b);
-          !best
-        end)
+        if not preach.(b) then -1 else if po.(b) < 0 then stuck_ipd b else idom.(b))
   in
-  (* Bar-free reachability on the full graph: edges out of a
-     Bar-terminated block cross the barrier and are dropped. *)
+  (* Bar-free reachability on the full graph, one source block at a time
+     and only for the blocks [may_concurrent] is asked about: edges out of
+     a Bar-terminated block cross the barrier and are dropped. *)
   let bar_term b = match k.body.(blocks.(b).last) with Kir.Bar -> true | _ -> false in
   let barfree =
     Array.init nb (fun b0 ->
-        let s = Dataflow.Bits.create nb in
-        let rec go b =
-          if not (Dataflow.Bits.get s b) then begin
-            Dataflow.Bits.set s b;
-            if not (bar_term b) then List.iter go blocks.(b).succs
-          end
-        in
-        go b0;
-        s)
+        lazy
+          (let s = Dataflow.Bits.create nb in
+           let rec go b =
+             if not (Dataflow.Bits.get s b) then begin
+               Dataflow.Bits.set s b;
+               if not (bar_term b) then List.iter go blocks.(b).succs
+             end
+           in
+           go b0;
+           s))
   in
-  { k; blocks; blk_of; reach; preach; psuccs_; ipd; barfree }
+  { k; blocks; blk_of; reach; preach; psuccs_; ipd; barfree; mark = Array.make nb 0; gen = 0 }
 
 let cond_target t b =
   let blk = t.blocks.(b) in
@@ -186,35 +209,35 @@ let cond_target t b =
       match target_pos t.k l with Some p -> Some t.blk_of.(p) | None -> None)
   | _ -> None
 
-(* Blocks reachable from [s] along pruned edges without entering [stop]. *)
-let region t ~stop s =
-  let nb = nblocks t in
-  let seen = Array.make (max nb 1) false in
+(* Blocks reachable from any of [ss] along pruned edges without entering
+   [stop], ascending. Visited blocks are stamped in [t.mark] with a fresh
+   generation, so a call costs the size of the region, not of the CFG. *)
+let region t ~stop ss =
+  t.gen <- t.gen + 1;
+  let g = t.gen and acc = ref [] in
   let rec go b =
-    if b <> stop && not seen.(b) then begin
-      seen.(b) <- true;
+    if b <> stop && t.mark.(b) <> g then begin
+      t.mark.(b) <- g;
+      acc := b :: !acc;
       List.iter go t.psuccs_.(b)
     end
   in
-  if s <> stop then go s;
-  seen
+  List.iter go ss;
+  List.sort Int.compare !acc
 
 let influence t b =
   if not t.preach.(b) then []
   else
     match t.psuccs_.(b) with
-    | _ :: _ :: _ as ss ->
-        let stop = t.ipd.(b) in
-        let acc = Array.make (nblocks t) false in
-        List.iter
-          (fun s ->
-            let r = region t ~stop s in
-            Array.iteri (fun i v -> if v then acc.(i) <- true) r)
-          ss;
-        let out = ref [] in
-        Array.iteri (fun i v -> if v then out := i :: !out) acc;
-        List.rev !out
+    | _ :: _ :: _ as ss -> region t ~stop:t.ipd.(b) ss
     | _ -> []
+
+(* [a \ b] over ascending lists *)
+let rec diff a b =
+  match (a, b) with
+  | [], _ -> []
+  | a, [] -> a
+  | x :: a', y :: b' -> if x < y then x :: diff a' b else if x > y then diff a b' else diff a' b'
 
 let one_sided t b =
   if not t.preach.(b) then None
@@ -224,12 +247,7 @@ let one_sided t b =
     | ((Kir.Brz _ | Kir.Brnz _), [ s1; s2 ], Some tgt) when s1 <> s2 ->
         let fall = if s1 = tgt then s2 else s1 in
         let stop = t.ipd.(b) in
-        let rt = region t ~stop tgt and rf = region t ~stop fall in
-        let diff a bo =
-          let out = ref [] in
-          Array.iteri (fun i v -> if v && not bo.(i) then out := i :: !out) a;
-          List.rev !out
-        in
+        let rt = region t ~stop [ tgt ] and rf = region t ~stop [ fall ] in
         let tgt_only = diff rt rf and fall_only = diff rf rt in
         let nonzero, zero =
           match t.k.body.(blk.last) with
@@ -240,7 +258,8 @@ let one_sided t b =
     | _ -> None
 
 let may_concurrent t a b =
-  Dataflow.Bits.get t.barfree.(a) b || Dataflow.Bits.get t.barfree.(b) a
+  Dataflow.Bits.get (Lazy.force t.barfree.(a)) b
+  || Dataflow.Bits.get (Lazy.force t.barfree.(b)) a
 
 let iter_instrs t f =
   Array.iter

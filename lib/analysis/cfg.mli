@@ -19,7 +19,17 @@
     - the {e barrier-free reachability} closure on the full graph:
       [may_concurrent] holds when two blocks can execute on opposite
       sides of no barrier, i.e. some path connects them without leaving
-      a [Bar]-terminated block. *)
+      a [Bar]-terminated block.
+
+    Cost, for [n] instructions and [nb] blocks: [build] is linear apart
+    from the post-dominator fixpoint, Cooper–Harvey–Kennedy ("A Simple,
+    Fast Dominance Algorithm") on the reversed pruned graph, which
+    settles in two or three reverse-postorder passes whose intersections
+    walk the post-dominator tree. Influence regions cost their own size
+    (visited blocks are stamped, not cleared per call). Barrier-free
+    reachability is computed lazily, one depth-first search per source
+    block that [may_concurrent] is actually asked about, so a kernel
+    pays for the blocks holding shared accesses rather than [nb²]. *)
 
 type block = {
   id : int;
@@ -48,6 +58,16 @@ val preachable : t -> int -> bool
 val psuccs : t -> int -> int list
 (** Successors in the trap-pruned graph. *)
 
+val ipd : t -> int -> int
+(** Immediate post-dominator of a block in the trap-pruned graph;
+    [nblocks] stands for the virtual exit, [-1] for a block unreachable
+    in the pruned graph. A block that cannot reach the exit (stuck in a
+    loop) has no post-dominator; it gets the lowest-numbered other block
+    that is unreachable or stuck, else the deepest block of the
+    post-dominator tree (lowest id on ties), else the exit — what the
+    strict post-dominator with the largest post-dominator set is when
+    the sets are computed as a greatest fixpoint. *)
+
 val cond_target : t -> int -> int option
 (** If block [b] ends in [Brz]/[Brnz] with an in-range target, the
     target block id (the fall-through block is [block_of (last+1)]). *)
@@ -65,7 +85,8 @@ val one_sided : t -> int -> (int list * int list) option
 
 val may_concurrent : t -> int -> int -> bool
 (** No barrier separates the two blocks on some execution ordering
-    (includes [a = b]). *)
+    (includes [a = b]). The first query from a block computes and keeps
+    its barrier-free reachability set. *)
 
 val iter_instrs : t -> (int -> Gpu_sim.Kir.instr -> unit) -> unit
 (** All instructions of blocks reachable in the full graph. *)

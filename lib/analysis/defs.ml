@@ -2,7 +2,8 @@ open Gpu_sim
 
 type t = {
   cfg_ : Cfg.t;
-  n : int;
+  slot : int array;  (* instruction -> its definition's bit, or -1 *)
+  ndefs : int;
   in_ : Dataflow.Bits.t array;
   def_sites_ : int list array;
   initialized_ : bool array;
@@ -17,33 +18,47 @@ let compute cfg_ =
   let n = Array.length k.Kir.body in
   let nregs = k.Kir.reg_count in
   let def_sites_ = Array.make (max nregs 1) [] in
+  let slot = Array.make (max n 1) (-1) and ndefs = ref 0 in
   for i = n - 1 downto 0 do
     match Kir.defined_reg k.Kir.body.(i) with
-    | Some d when d >= 0 && d < nregs -> def_sites_.(d) <- i :: def_sites_.(d)
+    | Some d when d >= 0 && d < nregs ->
+        def_sites_.(d) <- i :: def_sites_.(d);
+        slot.(i) <- !ndefs;
+        incr ndefs
     | _ -> ()
   done;
+  let ndefs = !ndefs in
   let initialized_ =
     Array.init (max nregs 1) (fun r ->
         r < Kir.special_regs + k.Kir.params)
   in
-  let nbits = n + nregs in
+  let nbits = ndefs + nregs in
   let boundary = Dataflow.Bits.create nbits in
   for r = 0 to nregs - 1 do
-    Dataflow.Bits.set boundary (n + r)
+    Dataflow.Bits.set boundary (ndefs + r)
   done;
   let nb = Cfg.nblocks cfg_ in
-  let transfer b facts =
-    let cur = Dataflow.Bits.copy facts in
+  (* Per block, once: [gen] holds the block's last definition of each
+     register it writes, [kill] every definition (and the entry
+     pseudo-definition) of those registers, so the block's transfer is
+     [out = gen ∪ (in \ kill)]. *)
+  let gen_kill b =
+    let gen = Dataflow.Bits.create nbits and kill = Dataflow.Bits.create nbits in
     let blk = Cfg.block cfg_ b in
-    for i = blk.Cfg.first to blk.Cfg.last do
+    for i = blk.Cfg.last downto blk.Cfg.first do
       match Kir.defined_reg k.Kir.body.(i) with
-      | Some d when d >= 0 && d < nregs ->
-          List.iter (fun s -> Dataflow.Bits.clear cur s) def_sites_.(d);
-          Dataflow.Bits.clear cur (n + d);
-          Dataflow.Bits.set cur i
+      | Some d when d >= 0 && d < nregs && not (Dataflow.Bits.get kill (ndefs + d)) ->
+          Dataflow.Bits.set gen slot.(i);
+          List.iter (fun s -> Dataflow.Bits.set kill slot.(s)) def_sites_.(d);
+          Dataflow.Bits.set kill (ndefs + d)
       | _ -> ()
     done;
-    cur
+    (gen, kill)
+  in
+  let gk = Array.init nb gen_kill in
+  let transfer b facts =
+    let gen, kill = gk.(b) in
+    Dataflow.Bits.gen_kill ~gen ~kill facts
   in
   let in_, _out =
     Dataflow.solve ~nblocks:nb ~direction:`Forward
@@ -51,22 +66,24 @@ let compute cfg_ =
       ~preds:(fun b -> (Cfg.block cfg_ b).Cfg.preds)
       ~boundary ~transfer
   in
-  { cfg_; n; in_; def_sites_; initialized_ }
+  { cfg_; slot; ndefs; in_; def_sites_; initialized_ }
 
 let reaching t ~at r =
   let k = Cfg.kernel t.cfg_ in
   let b = Cfg.block_of t.cfg_ at in
   let blk = Cfg.block t.cfg_ b in
-  (* a definition of [r] earlier in the same block kills everything *)
-  let local = ref None in
-  for i = blk.Cfg.first to at - 1 do
-    match Kir.defined_reg k.Kir.body.(i) with
-    | Some d when d = r -> local := Some i
-    | _ -> ()
-  done;
-  match !local with
+  (* a definition of [r] earlier in the same block kills everything: the
+     nearest one, found walking back from [at] *)
+  let rec local i =
+    if i < blk.Cfg.first then None
+    else
+      match Kir.defined_reg k.Kir.body.(i) with
+      | Some d when d = r -> Some i
+      | _ -> local (i - 1)
+  in
+  match local (at - 1) with
   | Some i -> ([ i ], false)
   | None ->
       let facts = t.in_.(b) in
-      let sites = List.filter (fun s -> Dataflow.Bits.get facts s) t.def_sites_.(r) in
-      (sites, r < Dataflow.Bits.length facts - t.n && Dataflow.Bits.get facts (t.n + r))
+      let sites = List.filter (fun s -> Dataflow.Bits.get facts t.slot.(s)) t.def_sites_.(r) in
+      (sites, r < Dataflow.Bits.length facts - t.ndefs && Dataflow.Bits.get facts (t.ndefs + r))

@@ -1,9 +1,13 @@
 (** Reaching definitions over a KIR CFG.
 
-    Bit [i < n] is the definition made by instruction [i]; bit [n + r]
-    is a pseudo-definition of register [r] live at kernel entry. The
-    entry pseudo-definition of a special or parameter register carries a
-    real value; for any other register it stands for "never written". *)
+    Facts are bit sets with one bit per register-defining instruction
+    (numbered densely, so the width follows the definitions rather than
+    the kernel length) followed by one bit per register [r] for a
+    pseudo-definition live at kernel entry. The entry pseudo-definition
+    of a special or parameter register carries a real value; for any
+    other register it stands for "never written". Each block's gen/kill
+    sets are computed once, so the solver's transfer is one word-wise
+    pass ({!Dataflow.Bits.gen_kill}). *)
 
 type t
 

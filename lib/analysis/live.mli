@@ -4,6 +4,9 @@
 type t
 
 val compute : Cfg.t -> t
+(** Each block's upward-exposed uses and definitions (gen/kill) are
+    computed once; the solver's transfer is then
+    [in = gen ∪ (out \ kill)], one word-wise pass. *)
 
 val live_in : t -> int -> Dataflow.Bits.t
 (** Registers live on entry to a block. *)
@@ -14,7 +17,8 @@ val max_live : t -> counted:(int -> bool) -> int * int
     [counted], and an instruction index where the maximum is reached.
     Typically [counted] excludes special and parameter registers, which
     live in dedicated hardware spaces rather than the allocatable
-    register file. *)
+    register file. One backward walk per block, keeping a running count
+    as registers become live and dead. *)
 
 val dead_defs : t -> Defs.t -> int list
 (** Reachable register-defining instructions whose definition reaches no

@@ -30,10 +30,13 @@ let singleton_guards cfg sym =
                 Some u
             | _ -> None
           in
-          match (guard, Cfg.one_sided cfg b) with
-          | Some u, Some (nonzero, _zero) ->
-              List.iter (fun r -> guards.(r) <- u :: guards.(r)) nonzero
-          | _ -> ())
+          match guard with
+          | None -> ()
+          | Some u -> (
+              match Cfg.one_sided cfg b with
+              | Some (nonzero, _zero) ->
+                  List.iter (fun r -> guards.(r) <- u :: guards.(r)) nonzero
+              | None -> ()))
       | _ -> ()
     end
   done;
@@ -131,12 +134,12 @@ let analyze cfg sym =
   let stride_disjoint a b =
     aligned a b && abs (a.lin.Sym.off - b.lin.Sym.off) < a.lin.Sym.scale
   in
+  (* only called on pairs whose bases are equal or unresolved *)
   let check a b =
     if not (a.write || b.write) then ()
     else if a.atomic && b.atomic then ()
     else if same_singleton a b then ()
     else if not (Cfg.may_concurrent cfg a.block b.block) then ()
-    else if a.base <> None && b.base <> None && a.base <> b.base then ()
     else if a.base = None || b.base = None then
       report Diag.Warn a b "possible race (unresolved base address)"
     else
@@ -169,9 +172,27 @@ let analyze cfg sym =
             report Diag.Error a b "race: multiple threads hit the same word"
       | _ -> report Diag.Warn a b "possible race (unrecognized address shapes)"
   in
+  (* Accesses at distinct static bases never conflict, so an access with
+     a static base is paired only with later accesses at the same base
+     and with the unresolved ones. *)
+  let by_base = Hashtbl.create 16 and unresolved = ref [] in
+  for j = n - 1 downto 0 do
+    match arr.(j).base with
+    | Some p ->
+        Hashtbl.replace by_base p
+          (j :: Option.value ~default:[] (Hashtbl.find_opt by_base p))
+    | None -> unresolved := j :: !unresolved
+  done;
   for i = 0 to n - 1 do
-    for j = i to n - 1 do
-      check arr.(i) arr.(j)
-    done
+    let a = arr.(i) in
+    match a.base with
+    | None ->
+        for j = i to n - 1 do
+          check a arr.(j)
+        done
+    | Some p ->
+        let later j = if j >= i then check a arr.(j) in
+        List.iter later (Hashtbl.find by_base p);
+        List.iter later !unresolved
   done;
   List.rev !diags

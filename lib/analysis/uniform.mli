@@ -14,7 +14,9 @@
     race detector's job, not this pass's).
 
     Divergent-branch discovery and taint are mutually recursive, so the
-    pass iterates the pair to a (monotone, growing) fixpoint. Influence
+    pass iterates the pair to a (monotone, growing) fixpoint: after the
+    first solve, each round that taints new blocks resumes the worklist
+    from those blocks only ({!Dataflow.resume}). Influence
     regions come from the trap-pruned CFG: a branch whose one side
     traps is not a divergence point. *)
 

@@ -18,6 +18,14 @@ let compile src =
   in
   { program; plan; base_names; output_nodes }
 
+let error_message e =
+  let one_line s = String.map (function '\n' | '\r' -> ' ' | c -> c) s in
+  match e with
+  | Lexer.Lex_error { line; message } | Parser.Parse_error { line; message } ->
+      Some (Printf.sprintf "line %d: %s" line (one_line message))
+  | Translate.Translate_error message -> Some (one_line message)
+  | _ -> None
+
 let bind q named =
   Array.of_list
     (List.mapi

@@ -20,6 +20,10 @@ val compile : string -> query
 (** Parse and translate. Raises [Lexer.Lex_error], [Parser.Parse_error]
     or [Translate.Translate_error]. *)
 
+val error_message : exn -> string option
+(** One-line rendering of an exception raised by {!compile} (line number
+    first when known); [None] for any other exception. *)
+
 val bind :
   query -> (string * Relation_lib.Relation.t) list -> Relation_lib.Relation.t array
 (** Order the named input relations as the plan's base array; checks

@@ -139,6 +139,15 @@ val kernels_source : program -> string
 (** CUDA-style source of every generated kernel (after the program's
     optimization level), for inspection — the Fig. 15 view. *)
 
+val program_kernels :
+  program ->
+  [ `Kernel of Gpu_sim.Kir.kernel * Weaver_analysis.Analysis.region list
+  | `Sort of int ]
+  list
+(** Every woven kernel of the program in unit order, unoptimized, with
+    the shared-memory regions the gate checks it against; a sort unit,
+    which has no woven KIR, appears as [`Sort op_id]. Pure. *)
+
 val analyze_program :
   program -> Weaver_analysis.Analysis.report list
 (** Run the static-analysis suite over every woven kernel of the

@@ -254,6 +254,262 @@ let prop_gate_clean =
                 (Weaver_analysis.Diag.to_string d))
         (Weaver.Runtime.analyze_program program))
 
+(* ---- differential oracles for the solver and the post-dominators ---- *)
+
+module A = Weaver_analysis
+module B = A.Dataflow.Bits
+
+(* Round-robin reference: sweep every block in index order until no
+   transferred fact changes. *)
+let reference_solve ~nblocks ~direction ~succs ~preds ~boundary ~transfer =
+  let nbits = B.length boundary in
+  let in_ = Array.init nblocks (fun _ -> B.create nbits) in
+  let out = Array.init nblocks (fun _ -> B.create nbits) in
+  let join_edges, from, into =
+    match direction with `Forward -> (preds, out, in_) | `Backward -> (succs, in_, out)
+  in
+  let is_boundary b = match direction with `Forward -> b = 0 | `Backward -> succs b = [] in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for b = 0 to nblocks - 1 do
+      let acc = B.create nbits in
+      if is_boundary b then ignore (B.union_into ~dst:acc boundary);
+      List.iter (fun p -> ignore (B.union_into ~dst:acc from.(p))) (join_edges b);
+      into.(b) <- acc;
+      let res = transfer b acc in
+      if not (B.equal res from.(b)) then begin
+        from.(b) <- res;
+        changed := true
+      end
+    done
+  done;
+  (in_, out)
+
+(* Brute-force post-dominator sets over the pruned graph plus a virtual
+   exit, iterated to the greatest fixpoint; the immediate post-dominator
+   is the strict post-dominator with the largest set. *)
+let reference_ipd cfg =
+  let nb = A.Cfg.nblocks cfg in
+  let full () =
+    let s = B.create (nb + 1) in
+    for i = 0 to nb do
+      B.set s i
+    done;
+    s
+  in
+  let pdom = Array.init (nb + 1) (fun _ -> full ()) in
+  pdom.(nb) <- B.create (nb + 1);
+  B.set pdom.(nb) nb;
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for b = nb - 1 downto 0 do
+      if A.Cfg.preachable cfg b then begin
+        let acc = full () in
+        let ss = match A.Cfg.psuccs cfg b with [] -> [ nb ] | ss -> ss in
+        List.iter (fun s -> ignore (B.inter_into ~dst:acc pdom.(s))) ss;
+        B.set acc b;
+        if not (B.equal acc pdom.(b)) then begin
+          pdom.(b) <- acc;
+          changed := true
+        end
+      end
+    done
+  done;
+  Array.init nb (fun b ->
+      if not (A.Cfg.preachable cfg b) then -1
+      else begin
+        let best = ref nb and best_sz = ref (-1) in
+        B.iter
+          (fun p ->
+            if p <> b && B.count pdom.(p) > !best_sz then begin
+              best := p;
+              best_sz := B.count pdom.(p)
+            end)
+          pdom.(b);
+        !best
+      end)
+
+let reg_uses ins =
+  List.filter_map (function Kir.Reg r -> Some r | Kir.Imm _ -> None) (Kir.used_operands ins)
+
+(* Three problems with instruction-walking transfers: liveness
+   (backward), reaching definitions over instruction bits (forward) and
+   data-only thread-id taint (forward). *)
+let problems cfg =
+  let k = A.Cfg.kernel cfg in
+  let n = Array.length k.Kir.body and nregs = k.Kir.reg_count in
+  let blk b = A.Cfg.block cfg b in
+  let in_range r = r >= 0 && r < nregs in
+  let walk ~backward b facts step =
+    let cur = B.copy facts in
+    let { A.Cfg.first; last; _ } = blk b in
+    for j = 0 to last - first do
+      let i = if backward then last - j else first + j in
+      step cur i k.Kir.body.(i)
+    done;
+    cur
+  in
+  let live b facts =
+    walk ~backward:true b facts (fun cur _ ins ->
+        (match Kir.defined_reg ins with Some d when in_range d -> B.clear cur d | _ -> ());
+        List.iter (fun r -> if in_range r then B.set cur r) (reg_uses ins))
+  in
+  let defs b facts =
+    walk ~backward:false b facts (fun cur i ins ->
+        match Kir.defined_reg ins with
+        | Some d when in_range d ->
+            Array.iteri
+              (fun j ins' -> if Kir.defined_reg ins' = Some d then B.clear cur j)
+              k.Kir.body;
+            B.clear cur (n + d);
+            B.set cur i
+        | _ -> ())
+  in
+  let taint b facts =
+    walk ~backward:false b facts (fun cur _ ins ->
+        match Kir.defined_reg ins with
+        | Some d when in_range d ->
+            if List.exists (fun r -> in_range r && B.get cur r) (reg_uses ins) then B.set cur d
+            else B.clear cur d
+        | _ -> ())
+  in
+  let entry_defs = B.create (n + nregs) in
+  for r = 0 to nregs - 1 do
+    B.set entry_defs (n + r)
+  done;
+  let tid = B.create (max nregs 1) in
+  if nregs > 0 then B.set tid 0;
+  [
+    ("live", `Backward, B.create (max nregs 1), live);
+    ("defs", `Forward, entry_defs, defs);
+    ("taint", `Forward, tid, taint);
+  ]
+
+let solve_with solver cfg (_, direction, boundary, transfer) =
+  solver ~nblocks:(A.Cfg.nblocks cfg) ~direction
+    ~succs:(fun b -> (A.Cfg.block cfg b).A.Cfg.succs)
+    ~preds:(fun b -> (A.Cfg.block cfg b).A.Cfg.preds)
+    ~boundary ~transfer
+
+(* The worklist solver, CHK post-dominators and gen/kill liveness agree
+   with the oracles on one kernel; the first disagreement, if any. *)
+let oracle_mismatch (k : Kir.kernel) =
+  let cfg = A.Cfg.build k in
+  let same a b = Array.length a = Array.length b && Array.for_all2 B.equal a b in
+  let solver_diff =
+    List.find_map
+      (fun ((name, _, _, _) as p) ->
+        let i1, o1 = solve_with A.Dataflow.solve cfg p in
+        let i2, o2 = solve_with reference_solve cfg p in
+        if same i1 i2 && same o1 o2 then None else Some ("solve " ^ name))
+      (problems cfg)
+  in
+  let live_diff () =
+    let _, direction, boundary, transfer = List.hd (problems cfg) in
+    let ref_in, _ = solve_with reference_solve cfg ("live", direction, boundary, transfer) in
+    let live = A.Live.compute cfg in
+    if Array.for_all Fun.id (Array.mapi (fun b s -> B.equal s (A.Live.live_in live b)) ref_in)
+    then None
+    else Some "gen/kill liveness"
+  in
+  let ipd_diff () =
+    let expected = reference_ipd cfg in
+    List.find_map
+      (fun b ->
+        if A.Cfg.ipd cfg b = expected.(b) then None
+        else Some (Printf.sprintf "ipd of block %d: %d, oracle %d" b (A.Cfg.ipd cfg b) expected.(b)))
+      (List.init (A.Cfg.nblocks cfg) Fun.id)
+  in
+  match solver_diff with
+  | Some _ as d -> d
+  | None -> ( match live_diff () with Some _ as d -> d | None -> ipd_diff ())
+
+let program_kernels plan =
+  List.filter_map
+    (function `Kernel (k, _) -> Some k | `Sort _ -> None)
+    (Weaver.Runtime.program_kernels (Weaver.Driver.compile plan))
+
+let golden_plans () =
+  List.map
+    (fun (w : Tpch.Patterns.workload) -> (w.Tpch.Patterns.name, w.Tpch.Patterns.plan))
+    (Tpch.Patterns.all () @ [ Tpch.Patterns.pattern_ab () ])
+  @ List.map
+      (fun (q : Tpch.Queries.query) -> (q.Tpch.Queries.qname, q.Tpch.Queries.plan))
+      [ Tpch.Queries.q1; Tpch.Queries.q21 ]
+
+let check_oracles what k =
+  match oracle_mismatch k with
+  | None -> ()
+  | Some d -> Alcotest.failf "%s/%s: %s" what k.Kir.kname d
+
+let test_oracles_goldens () =
+  List.iter
+    (fun (name, plan) -> List.iter (check_oracles name) (program_kernels plan))
+    (golden_plans ())
+
+(* Hand-made graphs the weaver never emits: a block stuck in a
+   self-loop next to an unreachable one, a stuck block whose every
+   other block reaches the exit, and a trapping branch side. *)
+let test_oracles_irregular () =
+  let r5 = Kir.Reg 5 in
+  List.iter (check_oracles "irregular")
+    [
+      raw_kernel ~labels:[| 3; 1 |] [| Kir.Brz (r5, 0); Kir.Br 1; Kir.Ret; Kir.Ret |];
+      raw_kernel ~labels:[| 2; 1 |] [| Kir.Brz (r5, 0); Kir.Br 1; Kir.Ret |];
+      raw_kernel ~labels:[| 3 |]
+        [| Kir.Mov (6, Kir.Reg 0); Kir.Brnz (Kir.Reg 6, 0); Kir.Trap (Fault.Div_by_zero { kernel = "t" }, None);
+           Kir.Bin (Kir.Add, 7, Kir.Reg 6, r5); Kir.Ret |];
+    ]
+
+let prop_oracles_random =
+  QCheck.Test.make ~name:"random-plan kernels match the solver oracles" ~count:20
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 100_000))
+    (fun seed ->
+      let { Test_property.plan; desc; _ } = Test_property.build_random seed in
+      List.for_all
+        (fun k ->
+          match oracle_mismatch k with
+          | None -> true
+          | Some d -> QCheck.Test.fail_reportf "%s/%s: %s" desc k.Kir.kname d)
+        (program_kernels plan))
+
+(* Deterministic scaling: the worklist visits each block a bounded number
+   of times, counted through the [transfer] argument. *)
+let transfer_budget = 2
+
+let test_solver_scaling () =
+  let compute_kernel what plan =
+    match
+      List.filter (fun k -> k.Kir.kname = "group0_compute") (program_kernels plan)
+    with
+    | [ k ] -> k
+    | _ -> Alcotest.failf "%s: expected one group0_compute kernel" what
+  in
+  List.iter
+    (fun (what, plan) ->
+      let k = compute_kernel what plan in
+      let cfg = A.Cfg.build k in
+      let nb = A.Cfg.nblocks cfg in
+      List.iter
+        (fun (name, direction, boundary, transfer) ->
+          let calls = ref 0 in
+          let transfer b facts =
+            incr calls;
+            transfer b facts
+          in
+          ignore (solve_with A.Dataflow.solve cfg (name, direction, boundary, transfer));
+          if !calls > transfer_budget * nb then
+            Alcotest.failf "%s %s: %d transfer calls for %d blocks (budget %d per block)"
+              what name !calls nb transfer_budget)
+        (problems cfg))
+    [
+      ("Q21", Tpch.Queries.q21.Tpch.Queries.plan);
+      ( "32 selects",
+        (Tpch.Patterns.back_to_back_selects ~selects:32 ~ratio:0.5).Tpch.Patterns.plan );
+    ]
+
 let suite =
   [
     Alcotest.test_case "validate: label past end" `Quick
@@ -285,4 +541,8 @@ let suite =
     Alcotest.test_case "certificate within budgets" `Quick
       test_certificate_within_budget;
     QCheck_alcotest.to_alcotest prop_gate_clean;
+    Alcotest.test_case "oracles: golden kernels" `Slow test_oracles_goldens;
+    Alcotest.test_case "oracles: irregular graphs" `Quick test_oracles_irregular;
+    QCheck_alcotest.to_alcotest prop_oracles_random;
+    Alcotest.test_case "solver transfer calls linear" `Quick test_solver_scaling;
   ]

@@ -22,4 +22,5 @@ let () =
       ("service", Test_service.suite);
       ("obs", Test_obs.suite);
       ("attrib", Test_attrib.suite);
+      ("cli", Test_cli.suite);
     ]
