@@ -37,10 +37,12 @@ analyze: build
 # cost-attribution table (cycles, roofline, fusion counterfactual) in
 # both text and JSON form. The renderer checks the conservation law per
 # query; the grep asserts it held for all 8 goldens and nothing printed
-# VIOLATED.
+# VIOLATED. The JSON must match the committed expected output byte for
+# byte.
 explain: build
 	dune exec bin/weaver_cli.exe -- explain all > _build/explain.txt
 	dune exec bin/weaver_cli.exe -- explain all --json > _build/explain.json
+	diff -u test/explain_all.expected _build/explain.json
 	@test "$$(grep -c 'conservation: exact' _build/explain.txt)" -eq 8
 	@! grep -q 'conservation: VIOLATED' _build/explain.txt
 	@echo "explain: conservation exact on all 8 golden workloads"

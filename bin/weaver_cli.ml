@@ -576,11 +576,11 @@ let resolve_workloads ~rows ~seed ~inputs targets =
 
 (* --- explain ----------------------------------------------------------------
 
-   EXPLAIN ANALYZE for the simulated device: run the workload with the
-   attribution ledger on, then render the plan tree and a per-operator
-   table — attributed cycles, share, roofline class, memory traffic —
-   plus the fusion counterfactual (what materializing each fused group's
-   internal edges would have cost). *)
+   EXPLAIN ANALYZE for the simulated device: run the workload, then render
+   the plan tree and its attribution ledger as a per-operator table —
+   attributed cycles, share, roofline class, memory traffic — plus the
+   fusion counterfactual (what materializing each fused group's internal
+   edges would have cost). *)
 
 let json_str s =
   let buf = Buffer.create (String.length s + 2) in
@@ -706,9 +706,7 @@ let explain_cmd =
   let run targets rows inputs seed no_fuse o0 streamed jobs faults json =
     guard (fun () ->
         let workloads = resolve_workloads ~rows ~seed ~inputs targets in
-        let config =
-          { (config_of jobs faults) with Weaver.Config.attrib = true }
-        in
+        let config = config_of jobs faults in
         let mode =
           if streamed then Weaver.Runtime.Streamed else Weaver.Runtime.Resident
         in

@@ -6,113 +6,113 @@ type launch_report = {
   limiting_resource : string;
   stats : Stats.t;
   time : Timing.kernel_time;
-  attrib : Weaver_obs.Attrib.sample option;
+  attrib : Weaver_obs.Attrib.sample;
 }
 
 module T = Weaver_obs.Trace
 module A = Weaver_obs.Attrib
 
-(* Mutable accumulator behind [attrib_sample]; flattened into the
-   immutable [Attrib.contrib] at the end. *)
-type acc = {
-  mutable a_instructions : int;
-  mutable a_weight : float;
-  mutable a_bytes : int;
-  mutable a_shared : int;
-  mutable a_atomics : int;
-  mutable a_barriers : int;
-}
+(* The one static classification of a KIR instruction. [charge t s ins
+   part c] adds to [s] what [c] executions of [ins] count — every integer
+   total passed through [part], which splits it between operators — and
+   returns the cycles the cost model charges per execution on top of the
+   ALU issue. *)
+let charge (t : Timing.params) (s : Stats.t) (ins : Kir.instr) part c =
+  s.instructions <- s.instructions + part c;
+  match ins with
+  | Mov _ | Bin _ | Un _ | Cmp _ | Sel _ ->
+      s.alu_ops <- s.alu_ops + part c;
+      0.
+  | Br _ | Brz _ | Brnz _ ->
+      s.branches <- s.branches + part c;
+      0.
+  | Ld { space = Global; width; _ } ->
+      s.global_loads <- s.global_loads + part c;
+      s.global_load_bytes <- s.global_load_bytes + part (c * width);
+      t.global_latency_cycles
+  | St { space = Global; width; _ } ->
+      s.global_stores <- s.global_stores + part c;
+      s.global_store_bytes <- s.global_store_bytes + part (c * width);
+      t.global_latency_cycles
+  | Ld { space = Shared; width; _ } ->
+      s.shared_loads <- s.shared_loads + part c;
+      s.shared_load_bytes <- s.shared_load_bytes + part (c * width);
+      t.shared_access_cycles
+  | St { space = Shared; width; _ } ->
+      s.shared_stores <- s.shared_stores + part c;
+      s.shared_store_bytes <- s.shared_store_bytes + part (c * width);
+      t.shared_access_cycles
+  | Atom _ ->
+      s.atomics <- s.atomics + part c;
+      t.atomic_cycles
+  | Bar ->
+      s.barrier_waits <- s.barrier_waits + part c;
+      t.barrier_cycles
+  | Ret | Trap _ -> 0.
 
-(* Reduce a launch's per-pc execution counts to a per-operator sample.
-   Every count lands on the instruction's provenance set: integer event
-   totals split evenly across the set (remainders to the lowest op ids,
-   the sets are sorted), the modelled thread-cycle weight splits exactly.
-   Untagged instructions accrue to the overhead pseudo-operator. The
-   reduction is a pure function of the merged counts, which are
-   bit-identical across worker counts, so samples are too. *)
-let attrib_sample ?(timing = Timing.default_params) (k : Kir.kernel) counts =
-  let tbl = Hashtbl.create 16 in
+(* Reduce a launch's per-pc execution counts to its Stats and its
+   per-operator sample in one pass. Every count lands on the instruction's
+   provenance set: each integer event total splits evenly across the set
+   (remainders to the lowest op ids, the sets are sorted) and the modelled
+   thread-cycle weight splits exactly. Untagged instructions accrue to the
+   overhead pseudo-operator. A pure function of the merged counts, which
+   are bit-identical across worker counts, so both results are too. *)
+let reduce ?(timing = Timing.default_params) (k : Kir.kernel) counts =
+  let total = Stats.create () in
+  let per_op = Hashtbl.create 16 in
   let acc op =
-    match Hashtbl.find_opt tbl op with
+    match Hashtbl.find_opt per_op op with
     | Some a -> a
     | None ->
-        let a =
-          {
-            a_instructions = 0;
-            a_weight = 0.;
-            a_bytes = 0;
-            a_shared = 0;
-            a_atomics = 0;
-            a_barriers = 0;
-          }
-        in
-        Hashtbl.replace tbl op a;
+        let a = (Stats.create (), ref 0.) in
+        Hashtbl.replace per_op op a;
         a
   in
   let last = min (Array.length counts) (Array.length k.Kir.body) - 1 in
   for pc = 0 to last do
     let c = counts.(pc) in
     if c > 0 then begin
+      let ins = k.Kir.body.(pc) in
+      let extra = charge timing total ins Fun.id c in
       let ops =
         match Kir.prov_at k pc with [] -> [ A.overhead_op ] | l -> l
       in
-      let bytes, shared, atomics, barriers, extra =
-        match k.Kir.body.(pc) with
-        | Kir.Ld { space = Kir.Global; width; _ }
-        | Kir.St { space = Kir.Global; width; _ } ->
-            (c * width, 0, 0, 0, timing.Timing.global_latency_cycles)
-        | Kir.Ld { space = Kir.Shared; _ } | Kir.St { space = Kir.Shared; _ }
-          ->
-            (0, c, 0, 0, timing.Timing.shared_access_cycles)
-        | Kir.Atom _ -> (0, 0, c, 0, timing.Timing.atomic_cycles)
-        | Kir.Bar -> (0, 0, 0, c, timing.Timing.barrier_cycles)
-        | _ -> (0, 0, 0, 0, 0.)
-      in
-      let w = float_of_int c *. (timing.Timing.alu_cycles +. extra) in
-      match ops with
-      | [ op ] ->
-          let a = acc op in
-          a.a_instructions <- a.a_instructions + c;
-          a.a_weight <- a.a_weight +. w;
-          a.a_bytes <- a.a_bytes + bytes;
-          a.a_shared <- a.a_shared + shared;
-          a.a_atomics <- a.a_atomics + atomics;
-          a.a_barriers <- a.a_barriers + barriers
-      | ops ->
-          let nops = List.length ops in
-          let wf = w /. float_of_int nops in
-          let split q i = (q / nops) + if i < q mod nops then 1 else 0 in
-          List.iteri
-            (fun i op ->
-              let a = acc op in
-              a.a_instructions <- a.a_instructions + split c i;
-              a.a_weight <- a.a_weight +. wf;
-              a.a_bytes <- a.a_bytes + split bytes i;
-              a.a_shared <- a.a_shared + split shared i;
-              a.a_atomics <- a.a_atomics + split atomics i;
-              a.a_barriers <- a.a_barriers + split barriers i)
-            ops
+      let nops = List.length ops in
+      let w = float_of_int c *. (timing.alu_cycles +. extra) in
+      let wf = w /. float_of_int nops in
+      let split q i = (q / nops) + if i < q mod nops then 1 else 0 in
+      List.iteri
+        (fun i op ->
+          let s, weight = acc op in
+          ignore (charge timing s ins (fun q -> split q i) c);
+          weight := !weight +. wf)
+        ops
     end
   done;
-  Hashtbl.fold
-    (fun op a l ->
-      ( op,
-        {
-          A.c_instructions = a.a_instructions;
-          c_weight = a.a_weight;
-          c_global_bytes = a.a_bytes;
-          c_shared = a.a_shared;
-          c_atomics = a.a_atomics;
-          c_barriers = a.a_barriers;
-        } )
-      :: l)
-    tbl []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  let sample =
+    Hashtbl.fold
+      (fun op ((s : Stats.t), weight) l ->
+        ( op,
+          {
+            A.c_instructions = s.instructions;
+            c_weight = !weight;
+            c_global_bytes = Stats.global_bytes s;
+            c_shared = s.shared_loads + s.shared_stores;
+            c_atomics = s.atomics;
+            c_barriers = s.barrier_waits;
+          } )
+        :: l)
+      per_op []
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  in
+  (total, sample)
+
+let stats_of_counts k counts = fst (reduce k counts)
+let attrib_sample ?timing k counts = snd (reduce ?timing k counts)
 
 (* Top instruction counts folded into the launch span, so a trace subsumes
    a standalone per-pc profile. Counts are bit-identical across worker
-   counts (the per-worker profiles merge deterministically), so these args
-   never break trace determinism. *)
+   counts, so these args never break trace determinism. *)
 let hot_args (k : Kir.kernel) counts =
   let indexed = Array.to_list (Array.mapi (fun i c -> (i, c)) counts) in
   let sorted = List.stable_sort (fun (_, a) (_, b) -> Int.compare b a) indexed in
@@ -128,7 +128,7 @@ let hot_args (k : Kir.kernel) counts =
     (take 3 sorted)
 
 let launch ?timing ?max_instructions ?jobs ?(faults = Fault_inject.none)
-    ?(cancel = Cancel.none) ?(trace = T.none) ?(attrib = false) device mem
+    ?(cancel = Cancel.none) ?(trace = T.none) device mem
     (k : Kir.kernel) ~params ~grid ~cta =
   (match
      Device.validate_launch device ~cta_threads:cta
@@ -154,15 +154,11 @@ let launch ?timing ?max_instructions ?jobs ?(faults = Fault_inject.none)
      end;
      raise e);
   match
-    let profile =
-      if T.recording trace || attrib then
-        Some (Array.make (max 1 (Kir.instr_count k)) 0)
-      else None
+    let counts =
+      Interp.run ?max_instructions ?jobs ~cancel ~trace mem k ~params ~grid
+        ~cta
     in
-    let stats =
-      Interp.run ?max_instructions ?jobs ?profile ~cancel ~trace mem k ~params
-        ~grid ~cta
-    in
+    let stats, attrib = reduce ?timing k counts in
     let occupancy =
       Occupancy.occupancy device ~cta_threads:cta ~shared_bytes:k.shared_bytes
         ~regs_per_thread:k.regs_per_thread
@@ -172,10 +168,7 @@ let launch ?timing ?max_instructions ?jobs ?(faults = Fault_inject.none)
         ~shared_bytes:k.shared_bytes ~regs_per_thread:k.regs_per_thread
     in
     let time = Timing.kernel_time ?params:timing device ~occupancy stats in
-    let sample =
-      if attrib then Option.map (attrib_sample ?timing k) profile else None
-    in
-    ( profile,
+    ( counts,
       {
         kernel_name = k.kname;
         grid;
@@ -184,7 +177,7 @@ let launch ?timing ?max_instructions ?jobs ?(faults = Fault_inject.none)
         limiting_resource;
         stats;
         time;
-        attrib = sample;
+        attrib;
       } )
   with
   | exception e ->
@@ -199,14 +192,14 @@ let launch ?timing ?max_instructions ?jobs ?(faults = Fault_inject.none)
         T.close trace sp
       end;
       raise e
-  | profile, report ->
+  | counts, report ->
       if T.active trace then begin
         T.advance trace report.time.Timing.total_cycles;
         let args =
           if T.recording trace then
             ("occupancy", T.Float report.occupancy)
             :: ("instructions", T.Int report.stats.Stats.instructions)
-            :: (match profile with Some c -> hot_args k c | None -> [])
+            :: hot_args k counts
           else []
         in
         T.close trace sp ~args

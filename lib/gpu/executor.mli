@@ -12,21 +12,26 @@ type launch_report = {
   limiting_resource : string;
   stats : Stats.t;
   time : Timing.kernel_time;
-  attrib : Weaver_obs.Attrib.sample option;
-      (** per-operator evidence for cost attribution; [None] unless the
-          launch ran with [~attrib:true] *)
+  attrib : Weaver_obs.Attrib.sample;
+      (** per-operator evidence for cost attribution *)
 }
+
+val stats_of_counts : Kir.kernel -> int array -> Stats.t
+(** Reduce per-pc execution counts (as returned by {!Interp.run}) to the
+    launch's event totals: each count times its instruction's static event
+    class and access width. *)
 
 val attrib_sample :
   ?timing:Timing.params ->
   Kir.kernel ->
   int array ->
   Weaver_obs.Attrib.sample
-(** Reduce per-pc execution counts (as produced by {!Interp.run}'s
-    profile) to a per-operator sample using the kernel's provenance tags.
-    Counts on instructions tagged with several operators split evenly
-    (integer remainders to the lowest ids); untagged instructions accrue
-    to {!Weaver_obs.Attrib.overhead_op}. Deterministic for given counts. *)
+(** Reduce per-pc execution counts (as returned by {!Interp.run}) to a
+    per-operator sample using the kernel's provenance tags, through the
+    same per-instruction classification as {!stats_of_counts}. Counts on
+    instructions tagged with several operators split evenly (integer
+    remainders to the lowest ids); untagged instructions accrue to
+    {!Weaver_obs.Attrib.overhead_op}. Deterministic for given counts. *)
 
 val launch :
   ?timing:Timing.params ->
@@ -35,7 +40,6 @@ val launch :
   ?faults:Fault_inject.t ->
   ?cancel:Cancel.t ->
   ?trace:Weaver_obs.Trace.t ->
-  ?attrib:bool ->
   Device.t ->
   Memory.t ->
   Kir.kernel ->
@@ -54,10 +58,10 @@ val launch :
     per launch — closed with occupancy, instruction count and the top
     hot-spot instruction counts when the tracer records events, and closed
     with a fault instant when the launch traps — and its simulated clock
-    advances by the launch's total cycles. [attrib] (default [false])
-    additionally records the per-instruction execution profile and
-    reduces it to the report's per-operator {!field-launch_report.attrib}
-    sample. Raises [Interp.Runtime_error]
+    advances by the launch's total cycles. The interpreter's per-pc
+    execution counts are reduced once to both the report's
+    {!field-launch_report.stats} and its per-operator
+    {!field-launch_report.attrib} sample. Raises [Interp.Runtime_error]
     (= {!Fault.Error}) on runtime faults and [Invalid_argument] when the
     launch violates hard device limits (see {!Device.validate_launch}). *)
 

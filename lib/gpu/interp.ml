@@ -102,7 +102,7 @@ let make_buffer_cache mem (k : Kir.kernel) =
       arr
     end
 
-let run ?(max_instructions = 2_000_000_000) ?profile ?(jobs = 1)
+let run ?(max_instructions = 2_000_000_000) ?(jobs = 1)
     ?(cancel = Cancel.none) ?(trace = Weaver_obs.Trace.none) mem
     (k : Kir.kernel) ~params ~grid ~cta =
   let invalid_launch reason =
@@ -132,12 +132,12 @@ let run ?(max_instructions = 2_000_000_000) ?profile ?(jobs = 1)
       Array.make cta 0,
       Array.make cta st_running )
   in
-  (* Execute one CTA to completion, charging events to [stats] and
-     [profile_counts] (both private to the calling worker). [locked]
-     selects the mutex-striped path for global atomics; CTA-private state
-     (registers, shared memory) never needs it. *)
-  let exec_cta ~(stats : Stats.t) ~profile_counts ~buffer_data ~ctx ~locked
-      ctaid =
+  let make_counts () = Array.make (max 1 n_instr) 0 in
+  (* Execute one CTA to completion, bumping [counts] (private to the
+     calling worker) once per executed instruction. [locked] selects the
+     mutex-striped path for global atomics; CTA-private state (registers,
+     shared memory) never needs it. *)
+  let exec_cta ~counts ~buffer_data ~ctx ~locked ctaid =
     let budget = ref budget_slice in
     let shared, regs, pcs, status = ctx in
     Array.fill shared 0 (Array.length shared) 0;
@@ -170,64 +170,42 @@ let run ?(max_instructions = 2_000_000_000) ?profile ?(jobs = 1)
         decr budget;
         if !budget <= 0 then
           Fault.raise_ (Fault.Budget_exhausted { kernel = k.kname });
-        stats.Stats.instructions <- stats.Stats.instructions + 1;
-        (match profile_counts with
-        | Some c -> c.(!pc) <- c.(!pc) + 1
-        | None -> ());
+        Array.unsafe_set counts !pc (Array.unsafe_get counts !pc + 1);
         let ins = Array.unsafe_get body !pc in
         incr pc;
         match ins with
-        | Mov (d, a) ->
-            stats.Stats.alu_ops <- stats.Stats.alu_ops + 1;
-            r.(d) <- value a
-        | Bin (op, d, a, b) ->
-            stats.Stats.alu_ops <- stats.Stats.alu_ops + 1;
-            r.(d) <- exec_binop op (value a) (value b)
-        | Un (op, d, a) ->
-            stats.Stats.alu_ops <- stats.Stats.alu_ops + 1;
-            r.(d) <- exec_unop op (value a)
-        | Cmp (c, d, a, b) ->
-            stats.Stats.alu_ops <- stats.Stats.alu_ops + 1;
-            r.(d) <- exec_cmp c (value a) (value b)
+        | Mov (d, a) -> r.(d) <- value a
+        | Bin (op, d, a, b) -> r.(d) <- exec_binop op (value a) (value b)
+        | Un (op, d, a) -> r.(d) <- exec_unop op (value a)
+        | Cmp (c, d, a, b) -> r.(d) <- exec_cmp c (value a) (value b)
         | Sel (d, c, a, b) ->
-            stats.Stats.alu_ops <- stats.Stats.alu_ops + 1;
             r.(d) <- (if value c <> 0 then value a else value b)
-        | Ld { space = Global; dst; base; idx; width } ->
+        | Ld { space = Global; dst; base; idx; _ } ->
             let arr = buffer_data (value base) in
             let i = value idx in
             if i < 0 || i >= Array.length arr then
               oob ~space:Fault.Global_space ~buffer:(Some (value base)) ~index:i
                 ~length:(Array.length arr);
-            r.(dst) <- Array.unsafe_get arr i;
-            stats.Stats.global_loads <- stats.Stats.global_loads + 1;
-            stats.Stats.global_load_bytes <- stats.Stats.global_load_bytes + width
-        | Ld { space = Shared; dst; base; idx; width } ->
+            r.(dst) <- Array.unsafe_get arr i
+        | Ld { space = Shared; dst; base; idx; _ } ->
             let i = value base + value idx in
             if i < 0 || i >= Array.length shared then
               oob ~space:Fault.Shared_space ~buffer:None ~index:i
                 ~length:(Array.length shared);
-            r.(dst) <- Array.unsafe_get shared i;
-            stats.Stats.shared_loads <- stats.Stats.shared_loads + 1;
-            stats.Stats.shared_load_bytes <- stats.Stats.shared_load_bytes + width
-        | St { space = Global; base; idx; src; width } ->
+            r.(dst) <- Array.unsafe_get shared i
+        | St { space = Global; base; idx; src; _ } ->
             let arr = buffer_data (value base) in
             let i = value idx in
             if i < 0 || i >= Array.length arr then
               oob ~space:Fault.Global_space ~buffer:(Some (value base)) ~index:i
                 ~length:(Array.length arr);
-            Array.unsafe_set arr i (value src);
-            stats.Stats.global_stores <- stats.Stats.global_stores + 1;
-            stats.Stats.global_store_bytes <-
-              stats.Stats.global_store_bytes + width
-        | St { space = Shared; base; idx; src; width } ->
+            Array.unsafe_set arr i (value src)
+        | St { space = Shared; base; idx; src; _ } ->
             let i = value base + value idx in
             if i < 0 || i >= Array.length shared then
               oob ~space:Fault.Shared_space ~buffer:None ~index:i
                 ~length:(Array.length shared);
-            Array.unsafe_set shared i (value src);
-            stats.Stats.shared_stores <- stats.Stats.shared_stores + 1;
-            stats.Stats.shared_store_bytes <-
-              stats.Stats.shared_store_bytes + width
+            Array.unsafe_set shared i (value src)
         | Atom { op; space = Shared; dst; base; idx; src } ->
             let i = value base + value idx in
             if i < 0 || i >= Array.length shared then
@@ -235,8 +213,7 @@ let run ?(max_instructions = 2_000_000_000) ?profile ?(jobs = 1)
                 ~length:(Array.length shared);
             let old = shared.(i) in
             shared.(i) <- exec_atomop op old (value src);
-            r.(dst) <- old;
-            stats.Stats.atomics <- stats.Stats.atomics + 1
+            r.(dst) <- old
         | Atom { op; space = Global; dst; base; idx; src } ->
             let b = value base in
             let arr = buffer_data b in
@@ -259,20 +236,12 @@ let run ?(max_instructions = 2_000_000_000) ?profile ?(jobs = 1)
                 old
               end
             in
-            r.(dst) <- old;
-            stats.Stats.atomics <- stats.Stats.atomics + 1
-        | Br l ->
-            stats.Stats.branches <- stats.Stats.branches + 1;
-            pc := labels.(l)
-        | Brz (c, l) ->
-            stats.Stats.branches <- stats.Stats.branches + 1;
-            if value c = 0 then pc := labels.(l)
-        | Brnz (c, l) ->
-            stats.Stats.branches <- stats.Stats.branches + 1;
-            if value c <> 0 then pc := labels.(l)
+            r.(dst) <- old
+        | Br l -> pc := labels.(l)
+        | Brz (c, l) -> if value c = 0 then pc := labels.(l)
+        | Brnz (c, l) -> if value c <> 0 then pc := labels.(l)
         | Bar ->
             status.(tid) <- st_at_bar;
-            stats.Stats.barrier_waits <- stats.Stats.barrier_waits + 1;
             continue := false
         | Ret ->
             status.(tid) <- st_done;
@@ -303,7 +272,7 @@ let run ?(max_instructions = 2_000_000_000) ?profile ?(jobs = 1)
   let named f = Fault.Error (Fault.set_kernel k.kname f) in
   let jobs = max 1 (min jobs grid) in
   if jobs = 1 then begin
-    let stats = Stats.create () in
+    let counts = make_counts () in
     (* routed through the pool's sequential shortcut (it runs the body on
        this domain) so the worker-0 wall lane exists at any jobs count *)
     Domain_pool.run ~cancel ~trace ~jobs:1 (fun _ ->
@@ -314,19 +283,17 @@ let run ?(max_instructions = 2_000_000_000) ?profile ?(jobs = 1)
             (* same checkpoint cadence as the per-CTA budget slice: a fired
                token stops the launch before the next CTA starts *)
             Cancel.check cancel;
-            exec_cta ~stats ~profile_counts:profile ~buffer_data ~ctx
-              ~locked:false ctaid
+            exec_cta ~counts ~buffer_data ~ctx ~locked:false ctaid
           done
         with Fault.Error f -> raise (named f));
-    stats
+    counts
   end
   else begin
-    (* Workers allocate their Stats/profile accumulators on their own
-       domain, publishing them here only on completion: accumulators
-       created by the main domain would sit on adjacent cache lines and
-       every interpreted instruction would false-share them. *)
-    let worker_stats = Array.make jobs None in
-    let worker_profiles = Array.make jobs [||] in
+    (* Workers allocate their count arrays on their own domain, publishing
+       them here only on completion: arrays created by the main domain
+       would sit on adjacent cache lines and every interpreted instruction
+       would false-share them. *)
+    let worker_counts = Array.make jobs [||] in
     (* chunked self-scheduling over the CTA index space *)
     let next = Atomic.make 0 in
     let chunk = max 1 (grid / (jobs * 8)) in
@@ -346,10 +313,7 @@ let run ?(max_instructions = 2_000_000_000) ?profile ?(jobs = 1)
       cas ()
     in
     Domain_pool.run ~cancel ~trace ~jobs (fun w ->
-        let stats = Stats.create () in
-        let profile_counts =
-          if profile = None then None else Some (Array.make (max 1 n_instr) 0)
-        in
+        let counts = make_counts () in
         let buffer_data = make_buffer_cache mem k in
         let ctx = make_ctx () in
         let rec loop () =
@@ -362,8 +326,7 @@ let run ?(max_instructions = 2_000_000_000) ?profile ?(jobs = 1)
                    (* cancellation checkpoint: workers stop within one CTA
                       of the token firing, mid-chunk included *)
                    Cancel.check cancel;
-                   exec_cta ~stats ~profile_counts ~buffer_data ~ctx
-                     ~locked:true ctaid
+                   exec_cta ~counts ~buffer_data ~ctx ~locked:true ctaid
                  done
                with e -> record_error start e);
               loop ()
@@ -371,25 +334,15 @@ let run ?(max_instructions = 2_000_000_000) ?profile ?(jobs = 1)
           end
         in
         loop ();
-        worker_stats.(w) <- Some stats;
-        match profile_counts with
-        | Some c -> worker_profiles.(w) <- c
-        | None -> ());
-    (* deterministic merges: worker-index order, and every counter is a sum
-       of per-CTA contributions, so totals are independent of which worker
-       executed which CTA *)
-    let stats = Stats.create () in
+        worker_counts.(w) <- counts);
+    (* every count is a sum of per-CTA contributions, so the merged totals
+       are independent of which worker executed which CTA *)
+    let counts = make_counts () in
     Array.iter
-      (function Some s -> Stats.add stats s | None -> ())
-      worker_stats;
-    (match profile with
-    | Some c ->
-        Array.iter
-          (fun wp -> Array.iteri (fun i v -> c.(i) <- c.(i) + v) wp)
-          worker_profiles
-    | None -> ());
+      (Array.iteri (fun pc c -> counts.(pc) <- counts.(pc) + c))
+      worker_counts;
     match Atomic.get first_error with
     | Some (_, Fault.Error f) -> raise (named f)
     | Some (_, e) -> raise e
-    | None -> stats
+    | None -> counts
   end

@@ -9,13 +9,16 @@
     index order, and with [jobs > 1] they are spread over a persistent
     {!Domain_pool} in chunked self-scheduled fashion).
 
-    Every executed instruction bumps the {!Stats} counters. Determinism:
-    given the same memory contents and parameters the interpreter is fully
-    deterministic, and the parallel schedule returns bit-identical results
-    and stats to the sequential one — CTAs touch disjoint global regions
-    except through atomics (which are commutative for the operations the
-    code generator uses), and per-worker counters are summed, which is
-    order-independent. Global atomics take a mutex-striped path under
+    The only thing the interpreter records is one execution count per pc:
+    every executed instruction bumps its own counter once. Every other
+    figure of a launch ({!Stats}, the per-operator attribution sample, the
+    trace's hot spots) is derived from these counts by {!Executor}.
+    Determinism: given the same memory contents and parameters the
+    interpreter is fully deterministic, and the parallel schedule returns
+    bit-identical results and counts to the sequential one — CTAs touch
+    disjoint global regions except through atomics (which are commutative
+    for the operations the code generator uses), and per-worker count
+    arrays are summed, which is order-independent. Global atomics take a mutex-striped path under
     [jobs > 1]; registers and shared memory are CTA-private and stay
     lock-free. See DESIGN.md "Parallel simulation". *)
 
@@ -28,7 +31,6 @@ exception Runtime_error of Fault.t
 
 val run :
   ?max_instructions:int ->
-  ?profile:int array ->
   ?jobs:int ->
   ?cancel:Cancel.t ->
   ?trace:Weaver_obs.Trace.t ->
@@ -37,15 +39,15 @@ val run :
   params:int array ->
   grid:int ->
   cta:int ->
-  Stats.t
+  int array
 (** [run mem k ~params ~grid ~cta] executes kernel [k] with [grid] CTAs of
-    [cta] threads and returns the dynamic event counts. [params] length
-    must equal [k.params]. [max_instructions] (default [2_000_000_000])
-    bounds executed instructions to catch runaway loops; each CTA gets an
-    even slice ([max_instructions / grid], rounded up) so detection fires
-    under any CTA schedule. [profile], when given (length >= body length),
-    receives one increment per instruction execution.
-    [jobs] (default 1) is the number of worker domains executing CTAs;
+    [cta] threads and returns its per-pc execution counts: element [pc]
+    is how many times [k.body.(pc)] executed, over all threads (the array
+    has at least one element). [params] length must equal [k.params].
+    [max_instructions] (default [2_000_000_000]) bounds executed
+    instructions to catch runaway loops; each CTA gets an even slice
+    ([max_instructions / grid], rounded up) so detection fires under any
+    CTA schedule. [jobs] (default 1) is the number of worker domains executing CTAs;
     it is clamped to [grid]. When a parallel run faults, the error of the
     lowest faulting CTA index is surfaced — the same error a sequential
     run would raise. [cancel] (default {!Cancel.none}) is polled at the

@@ -31,21 +31,6 @@ let create () =
     barrier_waits = 0;
   }
 
-let reset t =
-  t.instructions <- 0;
-  t.alu_ops <- 0;
-  t.branches <- 0;
-  t.global_loads <- 0;
-  t.global_load_bytes <- 0;
-  t.global_stores <- 0;
-  t.global_store_bytes <- 0;
-  t.shared_loads <- 0;
-  t.shared_load_bytes <- 0;
-  t.shared_stores <- 0;
-  t.shared_store_bytes <- 0;
-  t.atomics <- 0;
-  t.barrier_waits <- 0
-
 let add acc x =
   acc.instructions <- acc.instructions + x.instructions;
   acc.alu_ops <- acc.alu_ops + x.alu_ops;
@@ -60,11 +45,6 @@ let add acc x =
   acc.shared_store_bytes <- acc.shared_store_bytes + x.shared_store_bytes;
   acc.atomics <- acc.atomics + x.atomics;
   acc.barrier_waits <- acc.barrier_waits + x.barrier_waits
-
-let copy t =
-  let c = create () in
-  add c t;
-  c
 
 let equal a b =
   a.instructions = b.instructions

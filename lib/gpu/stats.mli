@@ -1,7 +1,9 @@
-(** Dynamic event counters collected while interpreting KIR kernels.
+(** Dynamic event counters of a kernel launch.
 
-    The interpreter bumps these counters for every executed instruction; the
-    {!Timing} cost model then converts them into simulated cycles. Keeping
+    The interpreter records only per-pc execution counts; {!Executor}
+    reduces them to these counters (each count times its instruction's
+    static event class and access width), and the {!Timing} cost model
+    then converts them into simulated cycles. Keeping
     raw event counts separate from the cost model lets experiments report
     both (e.g. Fig. 17 needs bytes, Fig. 18 needs memory cycles). *)
 
@@ -24,17 +26,12 @@ type t = {
 val create : unit -> t
 (** Fresh zeroed counters. *)
 
-val reset : t -> unit
-(** Zero every counter in place. *)
-
 val add : t -> t -> unit
 (** [add acc x] accumulates [x] into [acc]. *)
 
-val copy : t -> t
-
 val equal : t -> t -> bool
 (** Field-wise equality — what the parallel-vs-sequential differential
-    tests assert on merged counters. *)
+    tests assert on event totals. *)
 
 val global_bytes : t -> int
 (** Total bytes moved to/from global memory. *)

@@ -568,8 +568,9 @@ let attrib ?(rows = 60_000) ?(lineitems = 10_000) ?(jobs = 1) () =
   (* Faulted runs may end in a partial result; the conservation law must
      hold on whatever ledger was accumulated up to the failure point. *)
   let run ?faults ?(jobs_override = jobs) config plan bases =
-    let config = Weaver.Config.with_jobs config jobs_override in
-    let config = { config with Weaver.Config.attrib = true; faults } in
+    let config =
+      { (Weaver.Config.with_jobs config jobs_override) with Weaver.Config.faults }
+    in
     let program = Weaver.Driver.compile ~config plan in
     match
       Weaver.Runtime.run_result program bases ~mode:Weaver.Runtime.Resident
@@ -614,28 +615,6 @@ let attrib ?(rows = 60_000) ?(lineitems = 10_000) ?(jobs = 1) () =
         (name, ok1, stable, storm_ok, ops, avoided_bytes, avoided_rt))
       workloads
   in
-  (* Attribution must stay off the hot path: compare wall time of repeated
-     runs with the ledger off vs on (same program shape, same inputs). *)
-  let overhead_pct =
-    let w = Tpch.Patterns.pattern_a () in
-    let bases = w.Tpch.Patterns.gen ~seed:16 ~rows in
-    let time attrib =
-      let config = { (base_config ~jobs) with Weaver.Config.attrib } in
-      let program = Weaver.Driver.compile ~config w.Tpch.Patterns.plan in
-      let go () =
-        ignore (Weaver.Driver.run program bases ~mode:Weaver.Runtime.Resident)
-      in
-      go ();
-      let t0 = Sys.time () in
-      for _ = 1 to 3 do
-        go ()
-      done;
-      Sys.time () -. t0
-    in
-    let off = time false in
-    let on_ = time true in
-    if off > 0.0 then 100.0 *. (on_ -. off) /. off else 0.0
-  in
   let violations =
     List.fold_left
       (fun acc (_, ok, stable, storm_ok, _, _, _) ->
@@ -679,8 +658,7 @@ let attrib ?(rows = 60_000) ?(lineitems = 10_000) ?(jobs = 1) () =
       @ List.map
           (fun (name, _, _, _, _, _, rt) ->
             (name ^ " avoided pcie round trips", float_of_int rt))
-          per
-      @ [ ("attrib wall overhead pct", overhead_pct) ];
+          per;
   }
 
 let all ?(quick = false) ?(jobs = 1) () =

@@ -128,9 +128,8 @@ let apportion units weights =
 
 (* Fold one launch into the ledger. [total]/[compute]/[memory]/[launch]
    are the launch's modelled cycle components (total = launch +
-   max compute memory). With no sample (attribution off for that launch,
-   or a launch that executed nothing attributable), all work units land
-   on the overhead row. *)
+   max compute memory). With an empty sample (a launch that executed
+   nothing attributable), all work units land on the overhead row. *)
 let add t ~total ~compute ~memory ~launch sample =
   t.fold_cycles <- t.fold_cycles +. total;
   t.reports <- t.reports + 1;
@@ -143,14 +142,11 @@ let add t ~total ~compute ~memory ~launch sample =
   ov.units <- ov.units + r_launch;
   let memory_bound = memory >= compute in
   let weights_by key =
-    match sample with
-    | None -> []
-    | Some s ->
-        List.filter_map
-          (fun (op, c) ->
-            let w = key c in
-            if w > 0. then Some (op, w) else None)
-          s
+    List.filter_map
+      (fun (op, c) ->
+        let w = key c in
+        if w > 0. then Some (op, w) else None)
+      sample
   in
   let mem_key c = Float.of_int c.c_global_bytes in
   let cmp_key c = c.c_weight in
@@ -162,19 +158,16 @@ let add t ~total ~compute ~memory ~launch sample =
     | [] -> weights_by (if memory_bound then cmp_key else mem_key)
     | w -> w
   in
-  (match sample with
-  | None -> ()
-  | Some s ->
-      List.iter
-        (fun (op, c) ->
-          let r = row t op in
-          r.launches <- r.launches + 1;
-          r.instructions <- r.instructions + c.c_instructions;
-          r.global_bytes <- r.global_bytes + c.c_global_bytes;
-          r.shared_accesses <- r.shared_accesses + c.c_shared;
-          r.atomics <- r.atomics + c.c_atomics;
-          r.barriers <- r.barriers + c.c_barriers)
-        s);
+  List.iter
+    (fun (op, c) ->
+      let r = row t op in
+      r.launches <- r.launches + 1;
+      r.instructions <- r.instructions + c.c_instructions;
+      r.global_bytes <- r.global_bytes + c.c_global_bytes;
+      r.shared_accesses <- r.shared_accesses + c.c_shared;
+      r.atomics <- r.atomics + c.c_atomics;
+      r.barriers <- r.barriers + c.c_barriers)
+    sample;
   match apportion work weights with
   | [] ->
       (* nothing attributable: the work is overhead too *)

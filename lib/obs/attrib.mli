@@ -59,10 +59,10 @@ val add :
   compute:float ->
   memory:float ->
   launch:float ->
-  sample option ->
+  sample ->
   unit
 (** Fold one launch (its modelled cycle components and evidence) into the
-    ledger. [None] evidence sends all work units to the overhead row. *)
+    ledger. Empty evidence sends all work units to the overhead row. *)
 
 val rows : t -> row list
 (** All rows, sorted by operator id ({!overhead_op} first). *)

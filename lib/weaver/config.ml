@@ -28,7 +28,6 @@ type t = {
   trace : bool;
   trace_out : string option;
   metrics_out : string option;
-  attrib : bool;  (** per-operator cost attribution (EXPLAIN ANALYZE) *)
 }
 
 let default =
@@ -60,7 +59,6 @@ let default =
     trace = false;
     trace_out = None;
     metrics_out = None;
-    attrib = false;
   }
 
 let with_jobs t jobs =

@@ -108,12 +108,6 @@ type t = {
   metrics_out : string option;
       (** where to write the Prometheus text dump of the metrics registry
           ({!Weaver_obs.Registry}); implies [trace]. *)
-  attrib : bool;
-      (** per-operator cost attribution (EXPLAIN ANALYZE): launches record
-          their per-instruction execution profile and reduce it to
-          per-operator samples ({!Gpu_sim.Executor.attrib_sample}), and the
-          runtime records fusion counterfactuals per executed group. Off
-          by default — the profile costs one int array per launch. *)
 }
 
 val default : t

@@ -57,8 +57,8 @@ type t = {
           [queue_wait_cycles] is meaningful) *)
   counterfactuals : Weaver_obs.Attrib.counterfactual list;
       (** per executed fused group, the intermediate traffic an unfused
-          plan would have materialized (Fig. 18 evidence); recorded only
-          when the run attributes costs, in group execution order *)
+          plan would have materialized (Fig. 18 evidence), in group
+          execution order *)
 }
 
 val collect :
@@ -109,8 +109,9 @@ val attribution : t -> Weaver_obs.Attrib.t
 (** Per-operator cost ledger folded from the launch reports, in launch
     order. [Attrib.fold_cycles] of the result is bit-identical to
     [kernel_cycles]; the ledger's integer unit sums obey the conservation
-    law ([Attrib.conserved]) by construction. Launches that carry no
-    attribution sample (runs without [Config.attrib]) land entirely on
-    the overhead row. *)
+    law ([Attrib.conserved]) by construction. Every launch carries its
+    sample, so a run needs no extra configuration to be attributed;
+    launches with empty evidence (modelled work owned by no operator)
+    land entirely on the overhead row. *)
 
 val pp : Format.formatter -> t -> unit

@@ -206,9 +206,7 @@ let launch st kernel ~params ~grid ~cta =
   let r =
     Executor.launch ~timing:(config st).Config.timing
       ~jobs:(config st).Config.jobs ~faults:st.run.faults ~cancel:st.run.cancel
-      ~trace:st.run.trace
-      ~attrib:(config st).Config.attrib
-      (device st) st.mem kernel ~params ~grid ~cta
+      ~trace:st.run.trace (device st) st.mem kernel ~params ~grid ~cta
   in
   st.run.reports <- r :: st.run.reports;
   st.run.kernel_cycles <-
@@ -255,40 +253,27 @@ let synth_report ?ops st name stats =
     Timing.kernel_time ~params:(config st).Config.timing (device st)
       ~occupancy:1.0 stats
   in
-  (* Synthesized launches have no per-pc profile; when the run attributes
-     costs, credit the whole report's events to the owning operators
-     (split evenly), so modelled sorts and fallbacks stay on the ledger's
-     per-operator rows rather than leaking into overhead. *)
+  (* Synthesized launches have no per-pc counts: credit the whole
+     report's events to the owning operators (split evenly), so modelled
+     sorts and fallbacks stay on the ledger's per-operator rows rather than
+     leaking into overhead. *)
   let attrib =
-    if not (config st).Config.attrib then None
-    else
-      match ops with
-      | None | Some [] -> Some []
-      | Some l ->
-          let l = List.sort_uniq compare l in
-          let n = List.length l in
-          let split q i = (q / n) + if i < q mod n then 1 else 0 in
-          Some
-            (List.mapi
-               (fun i op ->
-                 ( op,
-                   {
-                     Weaver_obs.Attrib.c_instructions =
-                       split stats.Stats.instructions i;
-                     c_weight = 1.0;
-                     c_global_bytes =
-                       split
-                         (stats.Stats.global_load_bytes
-                        + stats.Stats.global_store_bytes)
-                         i;
-                     c_shared =
-                       split
-                         (stats.Stats.shared_loads + stats.Stats.shared_stores)
-                         i;
-                     c_atomics = split stats.Stats.atomics i;
-                     c_barriers = split stats.Stats.barrier_waits i;
-                   } ))
-               l)
+    let l = List.sort_uniq compare (Option.value ops ~default:[]) in
+    let n = List.length l in
+    let split q i = (q / n) + if i < q mod n then 1 else 0 in
+    List.mapi
+      (fun i op ->
+        ( op,
+          {
+            Weaver_obs.Attrib.c_instructions = split stats.Stats.instructions i;
+            c_weight = 1.0;
+            c_global_bytes = split (Stats.global_bytes stats) i;
+            c_shared =
+              split (stats.Stats.shared_loads + stats.Stats.shared_stores) i;
+            c_atomics = split stats.Stats.atomics i;
+            c_barriers = split stats.Stats.barrier_waits i;
+          } ))
+      l
   in
   let r =
     {
@@ -840,24 +825,22 @@ let counterfactual_of ~plan ~name ~in_rows (ir : Fusion.t) =
 (* replace-on-same-name: a restart replay (demotion, rollback) re-executes
    a group under the same name; its counterfactual must not double-count *)
 let record_counterfactual st (cf : Weaver_obs.Attrib.counterfactual) =
-  if (config st).Config.attrib then begin
-    st.run.counterfactuals <-
-      cf
-      :: List.filter
-           (fun (c : Weaver_obs.Attrib.counterfactual) ->
-             c.cf_group <> cf.cf_group)
-           st.run.counterfactuals;
-    let module T = Weaver_obs.Trace in
-    if T.recording st.run.trace then
-      T.instant st.run.trace ~lane:T.Attrib ("counterfactual:" ^ cf.cf_group)
-        ~args:
-          [
-            ("edges", T.Int cf.cf_edges);
-            ("rows", T.Int cf.cf_rows);
-            ("bytes", T.Int cf.cf_bytes);
-            ("round_trips", T.Int cf.cf_round_trips);
-          ]
-  end
+  st.run.counterfactuals <-
+    cf
+    :: List.filter
+         (fun (c : Weaver_obs.Attrib.counterfactual) ->
+           c.cf_group <> cf.cf_group)
+         st.run.counterfactuals;
+  let module T = Weaver_obs.Trace in
+  if T.recording st.run.trace then
+    T.instant st.run.trace ~lane:T.Attrib ("counterfactual:" ^ cf.cf_group)
+      ~args:
+        [
+          ("edges", T.Int cf.cf_edges);
+          ("rows", T.Int cf.cf_rows);
+          ("bytes", T.Int cf.cf_bytes);
+          ("round_trips", T.Int cf.cf_round_trips);
+        ]
 
 let rec exec_fused st ~name (ir : Fusion.t) =
   Weaver_obs.Trace.with_span st.run.trace ~lane:Weaver_obs.Trace.Host
@@ -1036,11 +1019,10 @@ let rec exec_fused st ~name (ir : Fusion.t) =
   | outs -> (
       (* the group's kernels ran: its fusion counterfactual is evidence
          now, whatever publishing does *)
-      if (config st).Config.attrib then
-        record_counterfactual st
-          (counterfactual_of ~plan ~name
-             ~in_rows:(Array.map (fun (m : mat) -> m.rows) in_mats)
-             ir);
+      record_counterfactual st
+        (counterfactual_of ~plan ~name
+           ~in_rows:(Array.map (fun (m : mat) -> m.rows) in_mats)
+           ir);
       (* publish outputs, then release inputs. If publishing itself fails
          (a Streamed download's transfer fault, a deadline at a transfer
          checkpoint), outputs not yet adopted by a mat are freed here —
@@ -1564,7 +1546,7 @@ let run_result ?(cancel = Cancel.none) ?(trace = Weaver_obs.Trace.none) program
       let metrics = metrics_of run mem ~demotions ~rollbacks in
       (* per-operator ledger summary on its own trace lane, so the Chrome
          export carries the EXPLAIN ANALYZE view *)
-      (if T.recording trace && program.config.Config.attrib then begin
+      (if T.recording trace then begin
          let module A = Weaver_obs.Attrib in
          let ledger = Metrics.attribution metrics in
          List.iter

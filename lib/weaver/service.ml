@@ -591,12 +591,6 @@ let run_batch ?(config = default_config) ?(trace = Weaver_obs.Trace.none)
                  Normal, checkpointing is off regardless of the request *)
               (if ctl.level <> Normal then false
                else Option.value r.checkpoint ~default:cfg0.Config.checkpoint);
-            attrib =
-              (* the per-operator histograms need the attribution ledger;
-                 it is host-side bookkeeping only, so simulated cycles —
-                 and every admission/hedging decision derived from them —
-                 are unchanged with or without a registry *)
-              (cfg0.Config.attrib || Option.is_some registry);
           }
         in
         let cancel = Option.value r.cancel ~default:Cancel.none in

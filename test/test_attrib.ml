@@ -9,10 +9,7 @@ module A = Weaver_obs.Attrib
 
 let device = Weaver.Config.default.Weaver.Config.device
 
-let attrib_config =
-  { Weaver.Config.default with Weaver.Config.attrib = true }
-
-let run_metrics ?(config = attrib_config) ?trace (w : Tpch.Patterns.workload)
+let run_metrics ?(config = Weaver.Config.default) ?trace (w : Tpch.Patterns.workload)
     ~rows =
   let bases = w.Tpch.Patterns.gen ~seed:3 ~rows in
   let program = Weaver.Driver.compile ~config w.Tpch.Patterns.plan in
@@ -29,9 +26,9 @@ let test_ledger_conservation () =
       (1, { A.zero_contrib with A.c_instructions = 30; c_weight = 3.0 });
     ]
   in
-  A.add t ~total:100.0 ~compute:80.0 ~memory:15.0 ~launch:5.0 (Some sample);
+  A.add t ~total:100.0 ~compute:80.0 ~memory:15.0 ~launch:5.0 sample;
   (* a sample-less launch lands entirely on the overhead row *)
-  A.add t ~total:7.5 ~compute:0.0 ~memory:0.0 ~launch:7.5 None;
+  A.add t ~total:7.5 ~compute:0.0 ~memory:0.0 ~launch:7.5 [];
   Alcotest.(check bool) "conserved" true (A.conserved t);
   Alcotest.(check int) "attributed = total units" (A.total_units t)
     (A.attributed_units t);
@@ -58,7 +55,7 @@ let test_ledger_conservation () =
 
 let test_ledger_overhead_classify () =
   let t = A.create () in
-  A.add t ~total:10.0 ~compute:0.0 ~memory:0.0 ~launch:10.0 None;
+  A.add t ~total:10.0 ~compute:0.0 ~memory:0.0 ~launch:10.0 [];
   let ov = List.find (fun r -> r.A.op = A.overhead_op) (A.rows t) in
   Alcotest.(check string) "overhead roofline" "overhead"
     (A.roofline_name (A.classify ov))
@@ -125,24 +122,46 @@ let test_run_conservation () =
         (r.A.units > 0 && r.A.instructions > 0))
     ops
 
-let test_unattributed_run_is_all_overhead () =
-  let m =
-    run_metrics ~config:Weaver.Config.default (Tpch.Patterns.pattern_a ())
-      ~rows:2_000
+let test_default_run_attributes_every_operator () =
+  (* attribution is a per-launch reduction of the execution counts, so a
+     run with the default configuration carries the full ledger: every
+     plan operator has a row, the fused groups their counterfactuals *)
+  let q1 =
+    let db = Tpch.Datagen.generate ~seed:3 ~lineitems:1_000 in
+    (Tpch.Queries.q1.Tpch.Queries.plan, Tpch.Queries.q1.Tpch.Queries.bind db)
   in
-  let a = Weaver.Metrics.attribution m in
-  Alcotest.(check bool) "still conserved" true (A.conserved a);
-  Alcotest.(check int) "only the overhead row" 1 (List.length (A.rows a));
-  Alcotest.(check (list int)) "no counterfactuals without attrib" []
-    (List.map (fun (c : A.counterfactual) -> c.A.cf_edges)
-       m.Weaver.Metrics.counterfactuals)
+  List.iter
+    (fun (name, (plan, bases)) ->
+      let program = Weaver.Driver.compile plan in
+      let m =
+        (Weaver.Runtime.run program bases ~mode:Weaver.Runtime.Resident)
+          .Weaver.Runtime.metrics
+      in
+      let a = Weaver.Metrics.attribution m in
+      Alcotest.(check bool) (name ^ ": conserved") true (A.conserved a);
+      Alcotest.(check (list int))
+        (name ^ ": every plan operator attributed")
+        (List.map (fun (n : Qplan.Plan.node) -> n.Qplan.Plan.id)
+           (Qplan.Plan.nodes plan))
+        (List.filter_map
+           (fun (r : A.row) ->
+             if r.A.op = A.overhead_op then None else Some r.A.op)
+           (A.rows a));
+      Alcotest.(check bool) (name ^ ": counterfactuals recorded") true
+        (m.Weaver.Metrics.counterfactuals <> []))
+    (List.map
+       (fun (w : Tpch.Patterns.workload) ->
+         ( w.Tpch.Patterns.name,
+           (w.Tpch.Patterns.plan, w.Tpch.Patterns.gen ~seed:3 ~rows:2_000) ))
+       (Tpch.Patterns.all () @ [ Tpch.Patterns.pattern_ab () ])
+    @ [ ("Q1", q1) ])
 
 let test_provenance_survives_o3 () =
   let w = Tpch.Patterns.pattern_ab () in
   let bases = w.Tpch.Patterns.gen ~seed:3 ~rows:4_000 in
   let ops_of opt =
     let program =
-      Weaver.Driver.compile ~config:attrib_config ~opt w.Tpch.Patterns.plan
+      Weaver.Driver.compile ~opt w.Tpch.Patterns.plan
     in
     let m =
       (Weaver.Runtime.run program bases ~mode:Weaver.Runtime.Resident)
@@ -162,7 +181,7 @@ let test_provenance_survives_o3 () =
 let test_jobs_bit_stability () =
   let w = Tpch.Patterns.pattern_c () in
   let at jobs =
-    run_metrics ~config:(Weaver.Config.with_jobs attrib_config jobs) w
+    run_metrics ~config:(Weaver.Config.with_jobs Weaver.Config.default jobs) w
       ~rows:6_000
   in
   let m1 = at 1 and m4 = at 4 in
@@ -179,7 +198,7 @@ let test_storm_conservation () =
   let bases = w.Tpch.Patterns.gen ~seed:3 ~rows:4_000 in
   let config =
     {
-      attrib_config with
+      Weaver.Config.default with
       Weaver.Config.faults =
         Some "rseed@11,alloc%0.15,launch%0.15,transfer%0.15";
     }
@@ -253,7 +272,7 @@ let mk_report name total instrs =
         launch_cycles = 0.0;
         total_cycles = total;
       };
-    attrib = None;
+    attrib = [];
   }
 
 let collect_reports reports =
@@ -313,7 +332,7 @@ let test_traced_equal_covers_recovery_fields () =
   let bases = q.Tpch.Queries.bind db in
   let config =
     {
-      attrib_config with
+      Weaver.Config.default with
       Weaver.Config.checkpoint = true;
       faults = Some "launch@6:flip";
     }
@@ -347,7 +366,9 @@ let suite =
     ("executor sample split", `Quick, test_attrib_sample_split);
     ("kir retag", `Quick, test_retag);
     ("run conservation", `Quick, test_run_conservation);
-    ("unattributed run is overhead", `Quick, test_unattributed_run_is_all_overhead);
+    ( "default run attributes all ops",
+      `Quick,
+      test_default_run_attributes_every_operator );
     ("provenance survives -O3", `Quick, test_provenance_survives_o3);
     ("jobs bit-stability", `Quick, test_jobs_bit_stability);
     ("storm conservation", `Quick, test_storm_conservation);

@@ -335,7 +335,9 @@ let test_shared_atomics_and_widths () =
   let k = finish b in
   let mem = Memory.create device in
   let out = Memory.alloc mem ~words:1 ~bytes:8 in
-  let stats = Interp.run mem k ~params:[| out |] ~grid:1 ~cta:64 in
+  let stats =
+    Executor.stats_of_counts k (Interp.run mem k ~params:[| out |] ~grid:1 ~cta:64)
+  in
   Alcotest.(check int) "atomic max of tids" 63 (Memory.data mem out).(0);
   Alcotest.(check int) "8-byte store accounted" 8 stats.Stats.global_store_bytes;
   Alcotest.(check int) "64 atomics" 64 stats.Stats.atomics

@@ -9,8 +9,8 @@ let run_kernel k ~params ~words =
   let mem = Memory.create device in
   let out = Memory.alloc mem ~words ~bytes:(4 * words) in
   let ps = Array.append [| out |] params in
-  let stats = Interp.run mem k ~params:ps ~grid:1 ~cta:1 in
-  (Array.copy (Memory.data mem out), stats)
+  ignore (Interp.run mem k ~params:ps ~grid:1 ~cta:1);
+  Array.copy (Memory.data mem out)
 
 let o3 = Weaver.Optimizer.optimize Weaver.Optimizer.O3
 
@@ -26,8 +26,8 @@ let test_cse () =
   let k3 = o3 k in
   Alcotest.(check bool) "fewer instructions" true
     (Kir.instr_count k3 < Kir.instr_count k);
-  let r, _ = run_kernel k ~params:[||] ~words:1 in
-  let r3, _ = run_kernel k3 ~params:[||] ~words:1 in
+  let r = run_kernel k ~params:[||] ~words:1 in
+  let r3 = run_kernel k3 ~params:[||] ~words:1 in
   Alcotest.(check int) "same result" r.(0) r3.(0)
 
 let test_commutative_cse () =
@@ -57,7 +57,7 @@ let test_constant_folding () =
   st b Kir.Global ~base:buf ~idx:(Imm 0) ~src:(Reg c3) ~width:4;
   let k = finish b in
   let k3 = o3 k in
-  let r3, _ = run_kernel k3 ~params:[||] ~words:1 in
+  let r3 = run_kernel k3 ~params:[||] ~words:1 in
   Alcotest.(check int) "folded value" 42 r3.(0);
   (* everything folds into the store: store + ret remain *)
   Alcotest.(check int) "only store+ret remain" 2 (Kir.instr_count k3)
@@ -79,7 +79,10 @@ let test_dce_dead_loads () =
   let out_b = Memory.alloc mem ~words:1 ~bytes:4 in
   let src_b = Memory.alloc mem ~words:2 ~bytes:8 in
   (Memory.data mem src_b).(1) <- 123;
-  let s3 = Interp.run mem k3 ~params:[| out_b; src_b |] ~grid:1 ~cta:1 in
+  let s3 =
+    Executor.stats_of_counts k3
+      (Interp.run mem k3 ~params:[| out_b; src_b |] ~grid:1 ~cta:1)
+  in
   Alcotest.(check int) "value preserved" 123 (Memory.data mem out_b).(0);
   Alcotest.(check int) "one load executed" 1 s3.Stats.global_loads
 
@@ -97,7 +100,10 @@ let test_redundant_load_elim () =
   let out_b = Memory.alloc mem ~words:1 ~bytes:4 in
   let src_b = Memory.alloc mem ~words:1 ~bytes:4 in
   (Memory.data mem src_b).(0) <- 21;
-  let stats = Interp.run mem k3 ~params:[| out_b; src_b |] ~grid:1 ~cta:1 in
+  let stats =
+    Executor.stats_of_counts k3
+      (Interp.run mem k3 ~params:[| out_b; src_b |] ~grid:1 ~cta:1)
+  in
   Alcotest.(check int) "value" 42 (Memory.data mem out_b).(0);
   Alcotest.(check int) "single load" 1 stats.Stats.global_loads
 
@@ -132,7 +138,7 @@ let test_branch_folding () =
     (fun () -> mov_to b out (Imm 222));
   st b Kir.Global ~base:buf ~idx:(Imm 0) ~src:(Reg out) ~width:4;
   let k3 = o3 (finish b) in
-  let r3, _ = run_kernel k3 ~params:[||] ~words:1 in
+  let r3 = run_kernel k3 ~params:[||] ~words:1 in
   Alcotest.(check int) "else branch taken" 222 r3.(0)
 
 let test_loop_semantics_preserved () =
@@ -146,8 +152,8 @@ let test_loop_semantics_preserved () =
       bin_to b acc Kir.Add (Reg acc) (Reg sq));
   st b Kir.Global ~base:buf ~idx:(Imm 0) ~src:(Reg acc) ~width:4;
   let k = finish b in
-  let r, _ = run_kernel k ~params:[||] ~words:1 in
-  let r3, _ = run_kernel (o3 k) ~params:[||] ~words:1 in
+  let r = run_kernel k ~params:[||] ~words:1 in
+  let r3 = run_kernel (o3 k) ~params:[||] ~words:1 in
   Alcotest.(check int) "sum of squares" 285 r.(0);
   Alcotest.(check int) "optimized matches" 285 r3.(0)
 
@@ -205,8 +211,8 @@ let prop_o3_preserves =
   QCheck.Test.make ~name:"O3 preserves straight-line semantics" ~count:300
     arb_program (fun instrs ->
       let k = build_program instrs in
-      let r, _ = run_kernel k ~params:[||] ~words:4 in
-      let r3, _ = run_kernel (o3 k) ~params:[||] ~words:4 in
+      let r = run_kernel k ~params:[||] ~words:4 in
+      let r3 = run_kernel (o3 k) ~params:[||] ~words:4 in
       r = r3)
 
 let prop_o3_never_grows =

@@ -181,10 +181,10 @@ let test_profiler () =
   let k = finish b in
   let mem = Gpu_sim.Memory.create Gpu_sim.Device.fermi_c2050 in
   let out = Gpu_sim.Memory.alloc mem ~words:10 ~bytes:40 in
-  let counts = Array.make (max 1 (Gpu_sim.Kir.instr_count k)) 0 in
-  let stats =
-    Gpu_sim.Interp.run ~profile:counts mem k ~params:[| out |] ~grid:1 ~cta:1
+  let counts =
+    Gpu_sim.Interp.run mem k ~params:[| out |] ~grid:1 ~cta:1
   in
+  let stats = Gpu_sim.Executor.stats_of_counts k counts in
   Alcotest.(check int) "counts sum to instructions"
     stats.Gpu_sim.Stats.instructions
     (Array.fold_left ( + ) 0 counts);
